@@ -166,6 +166,12 @@ def _dp_pos(params):
     return {a: i for i, a in enumerate(dp_basis(params))}
 
 
+def _unit(width, i):
+    vec = [0] * width
+    vec[i] = 1
+    return vec
+
+
 def _derivation_vector(params, d: Derivation):
     """Flatten a derivation into its dense mod-p coefficient vector."""
     pos = _dp_pos(params)
@@ -196,6 +202,7 @@ class CartanAlgebra:
         self.alphas = tuple(alphas) if alphas is not None else None
         self._mod_rows = {}
         self._solver = None
+        self._generators = None
         self._partials = tuple(Derivation.partial(params, ax) for ax in range(params.n))
         self.partial_coords = tuple(self._locate_partial(ax) for ax in range(params.n))
         if verify:
@@ -228,6 +235,45 @@ class CartanAlgebra:
             row = tuple((k, c % p) for k, c in self.row_int(i, j) if c % p)
             self._mod_rows[key] = row
         return row
+
+    def lie_generators(self):
+        """Basis indices, ascending, of a set that generates the algebra under
+        the mod-p bracket.
+
+        Starts from the grade -1 and grade 1 parts and, while their bracket
+        closure is not the whole algebra, adds the first basis index outside it.
+        Computed on first use and cached on the instance.
+        """
+        if self._generators is None:
+            gens = [i for i, g in enumerate(self.grades) if g in (-1, 1)]
+            while True:
+                span = self._bracket_closure(gens)
+                if span.rank == self.dim:
+                    break
+                gens.append(next(i for i in range(self.dim)
+                                 if span.solve(_unit(self.dim, i)) is None))
+            self._generators = tuple(sorted(gens))
+        return self._generators
+
+    def _bracket_closure(self, gens):
+        """SpanSolver over F_p spanning the subalgebra generated by ``gens``.
+
+        The subalgebra is spanned by the nested brackets [g1, [g2, ... gk]], so
+        closing the span under ad(g) for each generator g suffices.
+        """
+        span = SpanSolver(self.params.p, self.dim)
+        fresh = [v for v in (_unit(self.dim, g) for g in gens) if span.insert(v)]
+        while fresh:
+            vec = fresh.pop()
+            for g in gens:
+                out = [0] * self.dim
+                for k, c in enumerate(vec):
+                    if c:
+                        for t, rc in self.row_mod(g, k):
+                            out[t] += c * rc
+                if span.insert(out):
+                    fresh.append(out)
+        return span
 
     def __eq__(self, other):
         return (

@@ -174,9 +174,7 @@ def _output_record(spec: JobSpec, record, verified_from_store: bool) -> None:
 
 def _cmd_invariant_verify(spec: JobSpec) -> int:
     doc = json.loads(Path(spec.record_file).read_text())
-    inv_doc = doc.get("invariant", {})
-    params = FieldParams(inv_doc["p"], inv_doc["n"], tuple(inv_doc["m"]))
-    hbar = build("Hbar", params)
+    hbar = build("Hbar", serialize.record_params(doc))
     record = serialize.document_to_record(doc, hbar)
     try:
         record.verify()

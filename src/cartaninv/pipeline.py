@@ -140,16 +140,31 @@ class InvariantRecord:
     term_count: int
     p_power_m: int
 
-    def verify(self) -> None:
-        """Re-check the record laws; raises on any violation."""
-        rep = is_invariant(self.invariant)
+    def verify(self, budget=None) -> None:
+        """Re-check the record laws; raises on any violation.
+
+        Recomputes the term count, the lambda value, invariance and the
+        generator image, and checks that the label names the power.  The
+        p-power exponent is not recomputed.  ``budget`` bounds the invariance
+        check and the d^(delta) of the generator.
+        """
+        if self.power % 2 or self.label not in (
+                f"Delta_{self.power}", f"Delta_{self.power}_star"):
+            raise ValueError(f"{self.label}: label does not match the even "
+                             f"power {self.power}")
+        if self.term_count != len(self.invariant):
+            raise ValueError(f"{self.label}: stored term count is wrong")
+        lam = lambda_homogeneity(self.invariant)
+        if self.lambda_value != lam:
+            raise ValueError(f"{self.label}: stored lambda {self.lambda_value} "
+                             f"!= computed {lam}")
+        clock = _clock(budget)
+        rep = is_invariant(self.invariant, clock)
         if not rep.is_invariant:
             idx, img = rep.witness
             lbl = self.invariant.algebra.basis[idx].label
             raise ValueError(f"{self.label}: not invariant, ad({lbl}) = {img!r}")
-        if self.term_count != len(self.invariant):
-            raise ValueError(f"{self.label}: stored term count is wrong")
-        img = d_delta(self.generator)
+        img = d_delta(self.generator, clock)
         if self.generator.algebra.kind == "Hbar":
             img = img.with_algebra(self.invariant.algebra)
         if img != self.invariant:
@@ -206,7 +221,7 @@ def delta_star(power: int, algebra: CartanAlgebra, budget=None,
                 power, label, "zero",
                 detail=f"d^(delta) of the phi-image vanishes (m = {m})")
 
-    rep = is_invariant(invariant)
+    rep = is_invariant(invariant, clock)
     if not rep.is_invariant:
         idx, img = rep.witness
         return DeltaStarResult(
@@ -222,7 +237,7 @@ def delta_star(power: int, algebra: CartanAlgebra, budget=None,
         term_count=len(invariant),
         p_power_m=m,
     )
-    record.verify()
+    record.verify(clock)
     return DeltaStarResult(power, label, "ok", record=record)
 
 

@@ -17,7 +17,7 @@ from .algebras import CartanAlgebra, build
 from .errors import SerializationError
 from .modular import FieldParams
 from .pipeline import InvariantRecord
-from .symalg import SymPolynomial
+from .symalg import SymPolynomial, render_text  # re-exported: the CLI renders through serialize
 
 POLY_FORMAT = "cartaninv.sympoly"
 RECORD_FORMAT = "cartaninv.invariant-record"
@@ -108,31 +108,6 @@ def document_to_poly(doc, algebra: CartanAlgebra) -> SymPolynomial:
     return SymPolynomial(algebra, ring, terms)
 
 
-def render_text(F: SymPolynomial) -> str:
-    """Human-readable canonical rendering, e.g. 2*u_{0,1}*u_{2,1} + u_{1,1}^2."""
-    if F.is_zero():
-        return "0"
-    bits = []
-    for mono, c in F.sorted_terms():
-        facs = [
-            F.algebra.basis[v].label + (f"^{e}" if e > 1 else "") for v, e in mono
-        ]
-        body = "*".join(facs) if facs else "1"
-        if c == 1 and facs:
-            piece = body
-        elif c < 0:
-            piece = f"-{-c}*{body}"
-        else:
-            piece = f"{c}*{body}"
-        if not bits:
-            bits.append(piece)
-        elif piece.startswith("-"):
-            bits.append("- " + piece[1:])
-        else:
-            bits.append("+ " + piece)
-    return " ".join(bits)
-
-
 # -- invariant records -------------------------------------------------------------
 
 def record_to_document(record: InvariantRecord) -> dict:
@@ -149,26 +124,48 @@ def record_to_document(record: InvariantRecord) -> dict:
     }
 
 
-def document_to_record(doc, hbar: CartanAlgebra) -> InvariantRecord:
+_RECORD_FIELDS = (("generator", dict), ("invariant", dict), ("label", str),
+                  ("power", int), ("term_count", int), ("p_power_m", int))
+
+
+def _check_record_shape(doc) -> None:
     if not isinstance(doc, dict) or doc.get("format") != RECORD_FORMAT:
         raise SerializationError(f"expected a {RECORD_FORMAT} document")
     if doc.get("version") != VERSION:
         raise SerializationError("format version mismatch for invariant record")
+    for key, kind in _RECORD_FIELDS:
+        if not isinstance(doc.get(key), kind):
+            raise SerializationError(
+                f"invariant record field {key} is missing or not a {kind.__name__}")
+
+
+def record_params(doc) -> FieldParams:
+    """The field parameters an invariant record document names."""
+    _check_record_shape(doc)
+    inv = doc["invariant"]
+    p, n, m = inv.get("p"), inv.get("n"), inv.get("m")
+    if not (isinstance(p, int) and isinstance(n, int) and isinstance(m, list)
+            and all(isinstance(x, int) for x in m)):
+        raise SerializationError("invariant document needs integer p, n and m")
+    return FieldParams(p, n, tuple(m))
+
+
+def document_to_record(doc, hbar: CartanAlgebra) -> InvariantRecord:
+    _check_record_shape(doc)
     if hbar.kind != "Hbar":
         raise SerializationError("records are resolved against an Hbar algebra")
-    gen_doc = doc.get("generator")
-    inv_doc = doc.get("invariant")
+    gen_doc = doc["generator"]
     gen_alg = hbar if gen_doc.get("kind") == "Hbar" else hbar.h_subalgebra
     generator = document_to_poly(gen_doc, gen_alg)
-    invariant = document_to_poly(inv_doc, hbar.h_subalgebra)
+    invariant = document_to_poly(doc["invariant"], hbar.h_subalgebra)
     return InvariantRecord(
-        label=doc.get("label"),
-        power=doc.get("power"),
+        label=doc["label"],
+        power=doc["power"],
         invariant=invariant,
         generator=generator,
         lambda_value=doc.get("lambda_value"),
-        term_count=doc.get("term_count"),
-        p_power_m=doc.get("p_power_m"),
+        term_count=doc["term_count"],
+        p_power_m=doc["p_power_m"],
     )
 
 

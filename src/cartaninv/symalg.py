@@ -222,17 +222,32 @@ class SymPolynomial:
         return SymPolynomial(target, self.ring, self.terms)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m, c in self.sorted_terms():
-            facs = [
-                self.algebra.basis[v].label + (f"^{e}" if e > 1 else "")
-                for v, e in m
-            ]
-            body = "*".join(facs) if facs else "1"
-            bits.append(body if c == 1 and facs else f"{c}*{body}")
-        return " + ".join(bits)
+        return render_text(self)
+
+
+def render_text(F: SymPolynomial) -> str:
+    """Human-readable canonical rendering, e.g. 2*u_{0,1}*u_{2,1} + u_{1,1}^2."""
+    if F.is_zero():
+        return "0"
+    bits = []
+    for mono, c in F.sorted_terms():
+        facs = [
+            F.algebra.basis[v].label + (f"^{e}" if e > 1 else "") for v, e in mono
+        ]
+        body = "*".join(facs) if facs else "1"
+        if c == 1 and facs:
+            piece = body
+        elif c < 0:
+            piece = f"-{-c}*{body}"
+        else:
+            piece = f"{c}*{body}"
+        if not bits:
+            bits.append(piece)
+        elif piece.startswith("-"):
+            bits.append("- " + piece[1:])
+        else:
+            bits.append("+ " + piece)
+    return " ".join(bits)
 
 
 # -- adjoint action ----------------------------------------------------------
@@ -330,12 +345,34 @@ class InvarianceReport:
     witness: Optional[tuple] = None  # (basis index, nonzero ad image)
 
 
-def is_invariant(F: SymPolynomial) -> InvarianceReport:
-    """Check ad(b)(F) = 0 for every basis element b of F's algebra."""
-    for idx in range(F.algebra.dim):
-        img = _ad_index(F, idx)
+def is_invariant(F: SymPolynomial, budget=None) -> InvarianceReport:
+    """Check ad(b)(F) = 0 for every basis element b of F's algebra.
+
+    The witness is the first basis index, in basis order, whose image is
+    nonzero.  Over F_p the annihilator {x : ad(x)F = 0} is a subalgebra, so
+    only the algebra's Lie generators are checked; when generator g fails,
+    the indices below g that are not generators are scanned for an earlier
+    witness.  The integer ring keeps the full scan, because the integral lifts
+    of the structure constants need not satisfy Jacobi over Z.  ``budget`` is
+    a clock whose ``checkpoint()`` runs before each ad pass.
+    """
+
+    def ad(idx):
+        if budget is not None:
+            budget.checkpoint()
+        return _ad_index(F, idx)
+
+    alg = F.algebra
+    checked = alg.lie_generators() if F.ring == "modp" else range(alg.dim)
+    for g in checked:
+        img = ad(g)
         if img:
-            return InvarianceReport(False, (idx, img))
+            for idx in range(g):
+                if idx not in checked:
+                    earlier = ad(idx)
+                    if earlier:
+                        return InvarianceReport(False, (idx, earlier))
+            return InvarianceReport(False, (g, img))
     return InvarianceReport(True)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cartaninv.algebras import build_hbar, build_s, build_w
+from cartaninv.errors import BudgetExceededError
 from cartaninv.modular import FieldParams
 from cartaninv.pipeline import delta_star
 from cartaninv.symalg import SymPolynomial
@@ -29,6 +30,22 @@ def random_poly(rng, algebra, max_degree=3, nterms=4, ring="modp"):
             mono[v] = mono.get(v, 0) + 1
         terms[tuple(sorted(mono.items()))] = rng.randrange(1, algebra.params.p)
     return SymPolynomial(algebra, ring, terms)
+
+
+class TripClock:
+    """Budget clock stub that raises on its ``trip``-th checkpoint."""
+
+    def __init__(self, trip=None):
+        self.trip = trip
+        self.checkpoints = 0
+
+    def charge(self, nterms):
+        self.checkpoint()
+
+    def checkpoint(self):
+        self.checkpoints += 1
+        if self.checkpoints == self.trip:
+            raise BudgetExceededError("stub budget tripped")
 
 
 def random_derivation(rng, algebra):

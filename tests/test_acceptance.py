@@ -15,11 +15,18 @@ import pytest
 
 from conftest import load_fixture
 from cartaninv import serialize
-from cartaninv.algebras import Derivation, bracket, decompose
+from cartaninv.algebras import Derivation, bracket, build_hbar, decompose
 from cartaninv.cli import EX_OK, main
 from cartaninv.gflinalg import kernel_basis
 from cartaninv.modular import FieldParams, multi_binom
-from cartaninv.pipeline import Budget, conjecture_sweep, independence_report
+from cartaninv.pipeline import (
+    Budget,
+    compute_delta,
+    conjecture_sweep,
+    independence_report,
+    phi_normalize,
+    restrict_u_zero,
+)
 from cartaninv.symalg import (
     SymPolynomial,
     ad_action,
@@ -279,3 +286,21 @@ def test_criterion_9_p7_exploration(sweep_p7):
           f"{'completed' if report.completed else 'partial'}; "
           f"{len(produced)} verified records re-checked over the full basis; "
           f"{note}")
+
+
+def test_p7_delta_10_star_witness_is_first_in_basis_order(sweep_p7):
+    # the generating-set check must report the witness the full scan finds
+    assert sweep_p7.completed
+    result = sweep_p7.results[-1]
+    assert (result.power, result.status) == (10, "not-invariant")
+    hbar = build_hbar(FieldParams(7, 2, (1, 1)), verify=False)
+    generator, _ = phi_normalize(restrict_u_zero(compute_delta(10, hbar)))
+    candidate = d_delta(generator)
+    for first in range(candidate.algebra.dim):
+        img = ad_action(first, candidate)
+        if img:
+            break
+    assert result.witness == (first, img)
+    assert candidate.algebra.basis[first].label == "u_{0,2}"
+    print("\nACCEPTANCE 9b PASS: p=7 Delta_10_star witness u_{0,2} is the first "
+          "failing basis element")

@@ -210,3 +210,79 @@ def test_equality_and_cache_roundtrip(hbar_p3):
     other = build_hbar(hbar_p3.params)
     assert other == hbar_p3
     assert other != hbar_p3.h_subalgebra
+
+
+def _generated_dim(alg, gens):
+    """Oracle: dimension of the subalgebra generated by the basis elements
+    ``gens``, from honest derivation brackets and a rank count over F_p."""
+    p = alg.params.p
+    pivots = {}  # pivot column -> reduced row with unit pivot
+
+    def insert(vec):
+        vec = [x % p for x in vec]
+        for col, row in pivots.items():
+            if vec[col]:
+                f = vec[col]
+                vec = [(x - f * y) % p for x, y in zip(vec, row)]
+        col = next((c for c, x in enumerate(vec) if x), None)
+        if col is None:
+            return False
+        inv = pow(vec[col], p - 2, p)
+        row = [x * inv % p for x in vec]
+        for c, other in pivots.items():
+            if other[col]:
+                f = other[col]
+                pivots[c] = [(x - f * y) % p for x, y in zip(other, row)]
+        pivots[col] = row
+        return True
+
+    elems = [alg.basis[g].derivation for g in gens]
+    span = [d for d in elems if insert(decompose(d, alg))]
+    fresh = list(span)
+    while fresh:
+        new = []
+        for x in fresh:
+            for g in elems:
+                br = bracket(g, x)
+                if insert(decompose(br, alg)):
+                    new.append(br)
+        fresh = new
+    return len(pivots)
+
+
+@pytest.mark.parametrize("fix", ["w1_p3", "w2_p3", "s2_p3", "s2_p5", "hbar_p3",
+                                 "hbar_p5", "h_p3", "h_p5"])
+def test_lie_generators_generate(fix, request):
+    if fix.startswith("h_"):
+        alg = request.getfixturevalue("hbar" + fix[1:]).h_subalgebra
+    else:
+        alg = request.getfixturevalue(fix)
+    gens = alg.lie_generators()
+    assert list(gens) == sorted(set(gens))
+    assert _generated_dim(alg, gens) == alg.dim
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_lie_generators_of_h(p):
+    hbar = build_hbar(FieldParams(p, 2, (1, 1)), verify=False)
+    six = ["u_{0,1}", "u_{1,0}", "u_{0,3}", "u_{1,2}", "u_{2,1}", "u_{3,0}"]
+    labels = lambda alg: [alg.basis[g].label for g in alg.lie_generators()]
+    assert labels(hbar.h_subalgebra) == six
+    assert labels(hbar) == six + [f"u_{{{p - 1},{p - 1}}}"]
+
+
+def test_lie_generators_lazy_and_cached(monkeypatch):
+    calls = []
+    closure = CartanAlgebra._bracket_closure
+
+    def counted(self, gens):
+        calls.append(tuple(gens))
+        return closure(self, gens)
+
+    monkeypatch.setattr(CartanAlgebra, "_bracket_closure", counted)
+    alg = build_s(FieldParams(3, 2, (1, 1)))
+    assert calls == []  # not computed at build time
+    first = alg.lie_generators()
+    made = len(calls)
+    assert made >= 1
+    assert alg.lie_generators() is first and len(calls) == made

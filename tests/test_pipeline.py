@@ -1,8 +1,9 @@
 import random
+import sys
 
 import pytest
 
-from conftest import load_fixture, random_poly
+from conftest import TripClock, load_fixture, random_poly
 from cartaninv.errors import BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of
 from cartaninv.pipeline import (
@@ -229,6 +230,35 @@ def test_budget_clock_time():
     clock = Budget(max_seconds=0.0).start()
     with pytest.raises(BudgetExceededError):
         clock.checkpoint()
+
+
+class InvarianceProbe(TripClock):
+    """Records, per checkpoint, whether it was made inside is_invariant."""
+
+    def __init__(self):
+        super().__init__()
+        self.inside = []
+
+    def checkpoint(self):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "is_invariant":
+            frame = frame.f_back
+        self.inside.append(frame is not None)
+        super().checkpoint()
+
+
+def test_budget_trips_inside_is_invariant(hbar_p5):
+    probe = InvarianceProbe()
+    assert delta_star(4, hbar_p5, probe).status == "ok"
+    inside = [k + 1 for k, hit in enumerate(probe.inside) if hit]
+    # delta_star's own invariance check, then the one record.verify repeats
+    assert len(inside) == 2 * len(hbar_p5.h_subalgebra.lie_generators())
+    for trip, caller in ((inside[0], "delta_star"), (inside[-1], "verify")):
+        with pytest.raises(BudgetExceededError) as exc:
+            delta_star(4, hbar_p5, TripClock(trip))
+        names = [entry.name for entry in exc.traceback]
+        assert "is_invariant" in names
+        assert names[names.index("is_invariant") - 1] == caller
 
 
 def test_delta_series_divisible_by_u(hbar_p5):

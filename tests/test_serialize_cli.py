@@ -63,6 +63,10 @@ def test_render_text(hbar_p3, record_p3):
     assert serialize.render_text(SymPolynomial.zero(hbar_p3)) == "0"
     F = SymPolynomial(hbar_p3, "int", {((0, 1),): -3, ((1, 2),): 1})
     assert serialize.render_text(F) == "-3*u_{0,1} + u_{1,0}^2"
+    G = SymPolynomial(hbar_p3, "int", {((0, 1),): 1, ((1, 1),): -3})
+    assert serialize.render_text(G) == "u_{0,1} - 3*u_{1,0}"
+    for poly in (record_p3.invariant, F, G, SymPolynomial.zero(hbar_p3)):
+        assert repr(poly) == serialize.render_text(poly)
 
 
 def test_record_roundtrip(hbar_p3, record_p3):
@@ -139,6 +143,45 @@ def test_cli_store_and_verify(tmp_path, capsys):
     rc = main(["invariant-verify", str(record_file)])
     out = capsys.readouterr().out
     assert rc == EX_FAIL and "invariant: no" in out
+
+
+@pytest.mark.parametrize("key, value", [("lambda_value", 15),
+                                        ("label", "Delta_6_star"),
+                                        ("power", 6)])
+def test_cli_verify_rejects_tampered_record(tmp_path, capsys, results_p5, key, value):
+    doc = serialize.record_to_document(results_p5[4].record)
+    doc[key] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    assert main(["invariant-verify", str(path)]) == EX_FAIL
+    assert "invariant: no" in capsys.readouterr().out
+
+
+def _drop_generator(doc):
+    del doc["generator"]
+    return doc
+
+
+def _drop_invariant_p(doc):
+    del doc["invariant"]["p"]
+    return doc
+
+
+@pytest.mark.parametrize("mangle", [_drop_generator, _drop_invariant_p,
+                                    lambda doc: [doc], lambda doc: "record"])
+def test_cli_verify_malformed_record_exits_2(tmp_path, capsys, record_p3, mangle):
+    doc = mangle(serialize.record_to_document(record_p3))
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["invariant-verify", str(path)]) == EX_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_document_to_record_malformed(hbar_p3, record_p3):
+    for mangle in (_drop_generator, lambda doc: [doc]):
+        with pytest.raises(SerializationError):
+            serialize.document_to_record(
+                mangle(serialize.record_to_document(record_p3)), hbar_p3)
 
 
 def test_cli_generator_check(capsys):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from conftest import random_poly
+from conftest import TripClock, random_poly
 from cartaninv.algebras import Derivation
-from cartaninv.errors import ParameterError
+from cartaninv import symalg
+from cartaninv.errors import BudgetExceededError, ParameterError
 from cartaninv.modular import delta_of
 from cartaninv.symalg import (
     SymPolynomial,
@@ -125,6 +126,85 @@ def test_is_invariant(hbar_p3, record_p3):
     idx, img = rep.witness
     assert img and not ad_action(idx, SymPolynomial.from_label(hbar_p3, "u_{1,1}")).is_zero()
     assert is_invariant(record_p3.invariant).is_invariant
+
+
+def full_scan(F):
+    """Oracle: the first basis index, in basis order, with a nonzero ad image."""
+    for idx in range(F.algebra.dim):
+        img = ad_action(idx, F)
+        if img:
+            return (idx, img)
+    return None
+
+
+def assert_matches_full_scan(F):
+    rep = is_invariant(F)
+    want = full_scan(F)
+    assert rep.is_invariant == (want is None)
+    assert rep.witness == want
+    return rep
+
+
+@pytest.mark.parametrize("fix", ["w1_p3", "w2_p3", "s2_p3", "s2_p5", "hbar_p3",
+                                 "hbar_p5"])
+def test_is_invariant_matches_full_scan(fix, request):
+    alg = request.getfixturevalue(fix)
+    rng = random.Random(29)
+    witnesses = []
+    for _ in range(12):
+        F = random_poly(rng, alg, max_degree=3, nterms=5)
+        # d^(delta) images pass the grade -1 generators, so their witness
+        # often sits below a failing generator
+        for G in (F, d_delta(F), d_delta(F * F)):
+            rep = assert_matches_full_scan(G)
+            if not rep.is_invariant:
+                witnesses.append(rep.witness[0])
+    gens = set(alg.lie_generators())
+    assert any(w not in gens for w in witnesses)
+
+
+def test_is_invariant_matches_full_scan_on_candidates(hbar_p3, hbar_p5, record_p3,
+                                                     results_p5):
+    records = [record_p3] + [r.record for r in results_p5.values()]
+    for rec in records:
+        assert assert_matches_full_scan(rec.invariant).is_invariant
+        hbar = hbar_p3 if rec.invariant.algebra.params.p == 3 else hbar_p5
+        over_hbar = rec.invariant.with_algebra(hbar)
+        assert assert_matches_full_scan(over_hbar).is_invariant
+        v = SymPolynomial.variable(hbar, 2)
+        assert not assert_matches_full_scan(over_hbar + v * v).is_invariant
+
+
+def test_is_invariant_passes_per_ring(monkeypatch, hbar_p5, results_p5):
+    inv = results_p5[6].record.invariant
+    h = inv.algebra
+    rng = random.Random(31)
+    ints = [random_poly(rng, hbar_p5, ring="int") for _ in range(5)]
+    cases = [(SymPolynomial.one(h, "int"), None)] + [(F, full_scan(F)) for F in ints]
+    calls = []
+    ad_index = symalg._ad_index
+
+    def counted(F, idx, sign=1):
+        calls.append(idx)
+        return ad_index(F, idx, sign)
+
+    monkeypatch.setattr(symalg, "_ad_index", counted)
+    assert is_invariant(inv).is_invariant
+    assert calls == list(h.lie_generators())
+    # the integer ring scans the basis in order up to the first witness
+    for F, want in cases:
+        calls.clear()
+        assert is_invariant(F).witness == want
+        assert calls == list(range(h.dim if want is None else want[0] + 1))
+
+
+def test_is_invariant_checkpoints_each_pass(results_p5):
+    inv = results_p5[6].record.invariant
+    clock = TripClock()
+    assert is_invariant(inv, clock).is_invariant
+    assert clock.checkpoints == len(inv.algebra.lie_generators())
+    with pytest.raises(BudgetExceededError):
+        is_invariant(inv, TripClock(trip=3))
 
 
 def test_check_generator_w(w1_p3):
