@@ -512,13 +512,17 @@ def build_hbar(params: FieldParams, hs: Optional[HamiltonianStructure] = None,
     validate_for_kind(params, "Hbar")
     hs = hs or HamiltonianStructure.standard(params.n)
     basis, rows, scaled, alphas = _build_hamiltonian(params, hs, include_top=True)
-    sub = build_h(params, hs, verify=verify)
+    sub = build_h(params, hs, verify=False)
     algebra = CartanAlgebra(
         "Hbar", params, basis, rows, hs=hs, scaled=scaled, h_subalgebra=sub,
         alphas=alphas, verify=verify
     )
     if [b.label for b in algebra.basis[:-1]] != [b.label for b in sub.basis]:
         raise ClosureError("Hbar basis is not the H basis plus the top element")
+    # Hbar's check covered every H bracket; equal mod-p rows carry it over to H
+    if verify and any(sub.row_mod(i, j) != algebra.row_mod(i, j)
+                      for i in range(sub.dim) for j in range(i + 1, sub.dim)):
+        raise ClosureError("H structure constants disagree with Hbar's")
     return algebra
 
 

@@ -54,7 +54,6 @@ class JobSpec:
     store: Optional[str] = None
     max_terms: Optional[int] = None
     max_seconds: Optional[float] = None
-    workers: int = 1
     var: Optional[str] = None
     poly_file: Optional[str] = None
     record_file: Optional[str] = None
@@ -84,6 +83,22 @@ def _build_algebra(spec: JobSpec, kind=None):
 
 def _emit(doc) -> None:
     sys.stdout.write(serialize.dumps_canonical(doc))
+
+
+class _StoredRecordFailed(Exception):
+    """A stored record failed verification; ``run`` exits 1 with its message."""
+
+
+def _load_verified_record(store, hbar, label):
+    """The stored record for ``label`` after ``verify()``, or None if absent."""
+    record = serialize.load_record(store, hbar, label)
+    if record is not None:
+        try:
+            record.verify()
+        except ValueError as exc:
+            raise _StoredRecordFailed(
+                f"stored record failed verification: {exc}") from exc
+    return record
 
 
 # -- commands ---------------------------------------------------------------------
@@ -131,18 +146,13 @@ def _cmd_invariant_compute(spec: JobSpec) -> int:
     label_plain = f"Delta_{spec.power}"
     label_star = f"Delta_{spec.power}_star"
     if spec.store:
-        stored = serialize.load_record(spec.store, algebra, label_plain)
+        stored = _load_verified_record(spec.store, algebra, label_plain)
         if stored is None:
-            stored = serialize.load_record(spec.store, algebra, label_star)
+            stored = _load_verified_record(spec.store, algebra, label_star)
         if stored is not None:
-            try:
-                stored.verify()
-            except ValueError as exc:
-                print(f"stored record failed verification: {exc}", file=sys.stderr)
-                return EX_FAIL
             _output_record(spec, stored, verified_from_store=True)
             return EX_OK
-    result = delta_star(spec.power, algebra, spec.budget(), spec.workers)
+    result = delta_star(spec.power, algebra, spec.budget())
     if result.status == "zero":
         print(f"{result.label}: trivial ({result.detail})")
         return EX_OK
@@ -219,7 +229,7 @@ def _cmd_independence(spec: JobSpec) -> int:
     hbar = _build_algebra(spec, kind="Hbar")
     records = []
     for label in spec.labels:
-        rec = serialize.load_record(spec.store, hbar, label)
+        rec = _load_verified_record(spec.store, hbar, label)
         if rec is None:
             print(f"no stored record for {label}", file=sys.stderr)
             return EX_USAGE
@@ -244,9 +254,7 @@ def _print_independence(report) -> None:
 
 
 def _cmd_conjecture(spec: JobSpec) -> int:
-    report = conjecture_sweep(
-        spec.p, budget=spec.budget(), workers=spec.workers
-    )
+    report = conjecture_sweep(spec.p, budget=spec.budget())
     for res in report.results:
         if res.status == "ok":
             rec = res.record
@@ -283,6 +291,9 @@ def run(spec: JobSpec) -> int:
     """Execute a job; returns the exit status per the CLI contract."""
     try:
         return _RUNNERS[spec.command](spec)
+    except _StoredRecordFailed as exc:
+        print(exc, file=sys.stderr)
+        return EX_FAIL
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EX_BUDGET
@@ -312,7 +323,6 @@ def _parser() -> argparse.ArgumentParser:
                         help=f"store directory (default ${serialize.STORE_ENV})")
         sp.add_argument("--max-terms", type=int, default=None)
         sp.add_argument("--max-seconds", type=float, default=None)
-        sp.add_argument("--workers", type=int, default=1)
 
     common(sub.add_parser("basis", help="print the ordered basis and grading"))
     common(sub.add_parser("bracket-table",
@@ -343,8 +353,7 @@ def _parser() -> argparse.ArgumentParser:
 def _spec_from_args(args) -> JobSpec:
     spec = JobSpec(command=args.command)
     for name in ("p", "n", "ring", "output", "store", "max_terms",
-                 "max_seconds", "workers", "power", "var", "poly_file",
-                 "record_file"):
+                 "max_seconds", "power", "var", "poly_file", "record_file"):
         if hasattr(args, name):
             setattr(spec, name, getattr(args, name))
     if hasattr(args, "algebra"):
@@ -353,6 +362,13 @@ def _spec_from_args(args) -> JobSpec:
         spec.m = tuple(int(x) for x in str(args.m).split(","))
     if getattr(args, "labels", None):
         spec.labels = tuple(x for x in args.labels.split(",") if x)
+        for label in spec.labels:
+            # labels become store file names
+            digits = label[len("Delta_"):].removesuffix("_star")
+            if not (label.startswith("Delta_") and digits.isascii()
+                    and digits.isdigit()):
+                raise ValueError(f"bad record label {label!r}: expected "
+                                 f"Delta_<i> or Delta_<i>_star")
     return spec
 
 

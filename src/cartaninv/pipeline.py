@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebras import CartanAlgebra, HamiltonianStructure, build_hbar
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, NotInvariantError, ParameterError
 from .gflinalg import SpanSolver
 from .modular import FieldParams, delta_of, p_valuation
 from .symalg import SymPolynomial, d_delta, is_invariant, mono_degree
@@ -59,8 +59,7 @@ def _clock(budget):
 
 # -- the Delta series ------------------------------------------------------------
 
-def compute_delta(power: int, algebra: CartanAlgebra, budget=None,
-                  workers: int = 1) -> SymPolynomial:
+def compute_delta(power: int, algebra: CartanAlgebra, budget=None) -> SymPolynomial:
     """d^(delta)(u^power) over the integers, u the top basis element of Hbar.
 
     Invariance holds for any power (the top power annihilates under the
@@ -71,7 +70,7 @@ def compute_delta(power: int, algebra: CartanAlgebra, budget=None,
     if power < 2:
         raise ParameterError(f"power out of range: {power} < 2")
     u = SymPolynomial.variable(algebra, algebra.dim - 1, "int")
-    return d_delta(u ** power, _clock(budget), workers)
+    return d_delta(u ** power, _clock(budget))
 
 
 def restrict_u_zero(F: SymPolynomial) -> SymPolynomial:
@@ -145,8 +144,10 @@ class InvariantRecord:
 
         Recomputes the term count, the lambda value, invariance and the
         generator image, and checks that the label names the power.  The
-        p-power exponent is not recomputed.  ``budget`` bounds the invariance
-        check and the d^(delta) of the generator.
+        p-power exponent is not recomputed.  A failed invariance check raises
+        NotInvariantError with the witness; every other violation raises
+        ValueError.  ``budget`` bounds the invariance check and the
+        d^(delta) of the generator.
         """
         if self.power % 2 or self.label not in (
                 f"Delta_{self.power}", f"Delta_{self.power}_star"):
@@ -163,7 +164,8 @@ class InvariantRecord:
         if not rep.is_invariant:
             idx, img = rep.witness
             lbl = self.invariant.algebra.basis[idx].label
-            raise ValueError(f"{self.label}: not invariant, ad({lbl}) = {img!r}")
+            raise NotInvariantError(
+                f"{self.label}: not invariant, ad({lbl}) = {img!r}", rep.witness)
         img = d_delta(self.generator, clock)
         if self.generator.algebra.kind == "Hbar":
             img = img.with_algebra(self.invariant.algebra)
@@ -183,8 +185,7 @@ class DeltaStarResult:
     detail: str = ""
 
 
-def delta_star(power: int, algebra: CartanAlgebra, budget=None,
-               workers: int = 1) -> DeltaStarResult:
+def delta_star(power: int, algebra: CartanAlgebra, budget=None) -> DeltaStarResult:
     """Full pipeline for one power: Delta_i over Z, restrict, phi, d^(delta).
 
     When Delta_i is already free of u (the power-2 case) it is itself the
@@ -197,7 +198,7 @@ def delta_star(power: int, algebra: CartanAlgebra, budget=None,
     if power < 2 or power > 2 * (p - 2) or power % 2:
         raise ParameterError(f"power must be even in [2, {2 * (p - 2)}], got {power}")
     clock = _clock(budget)
-    full = compute_delta(power, algebra, clock, workers)
+    full = compute_delta(power, algebra, clock)
     restricted = restrict_u_zero(full)
 
     if len(restricted) == len(full):
@@ -215,19 +216,12 @@ def delta_star(power: int, algebra: CartanAlgebra, budget=None,
             return DeltaStarResult(power, label, "zero",
                                    detail="restriction at u = 0 vanishes over Z")
         generator, m = phi_normalize(restricted)
-        invariant = d_delta(generator, clock, workers)
+        invariant = d_delta(generator, clock)
         if invariant.is_zero():
             return DeltaStarResult(
                 power, label, "zero",
                 detail=f"d^(delta) of the phi-image vanishes (m = {m})")
 
-    rep = is_invariant(invariant, clock)
-    if not rep.is_invariant:
-        idx, img = rep.witness
-        return DeltaStarResult(
-            power, label, "not-invariant", witness=rep.witness,
-            detail=f"ad({invariant.algebra.basis[idx].label}) does not vanish "
-                   f"(phi removed p^{m})")
     record = InvariantRecord(
         label=label,
         power=power,
@@ -237,7 +231,14 @@ def delta_star(power: int, algebra: CartanAlgebra, budget=None,
         term_count=len(invariant),
         p_power_m=m,
     )
-    record.verify(clock)
+    try:
+        record.verify(clock)
+    except NotInvariantError as exc:
+        idx, _ = exc.witness
+        return DeltaStarResult(
+            power, label, "not-invariant", witness=exc.witness,
+            detail=f"ad({invariant.algebra.basis[idx].label}) does not vanish "
+                   f"(phi removed p^{m})")
     return DeltaStarResult(power, label, "ok", record=record)
 
 
@@ -398,8 +399,7 @@ class SweepReport:
 
 def conjecture_sweep(p: int, budget: Optional[Budget] = None,
                      hs: Optional[HamiltonianStructure] = None,
-                     index_value: Optional[int] = None,
-                     workers: int = 1) -> SweepReport:
+                     index_value: Optional[int] = None) -> SweepReport:
     """Run delta_star for i = 2, 4, .., 2(p-2) over Hbar_2 with m = (1, 1).
 
     The number of verified, pairwise-independent invariants is compared with
@@ -418,7 +418,7 @@ def conjecture_sweep(p: int, budget: Optional[Budget] = None,
         try:
             if clock is not None:
                 clock.checkpoint()
-            results.append(delta_star(power, algebra, clock, workers))
+            results.append(delta_star(power, algebra, clock))
         except BudgetExceededError as exc:
             completed = False
             note = f"budget exhausted at power {power}: {exc}"

@@ -83,14 +83,22 @@ def document_to_poly(doc, algebra: CartanAlgebra) -> SymPolynomial:
     ring = doc.get("ring")
     if ring not in ("int", "modp"):
         raise SerializationError(f"unknown ring {ring!r}")
+    entries = doc.get("terms", [])
+    if not isinstance(entries, list):
+        raise SerializationError("the term list is not a list")
     terms = {}
-    for entry in doc.get("terms", ()):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SerializationError(f"malformed term entry {entry!r}")
+        pairs = entry.get("monomial", [])
+        if not isinstance(pairs, list):
+            raise SerializationError(f"malformed monomial {pairs!r}")
         mono = []
-        for pair in entry.get("monomial", ()):
-            if len(pair) != 2:
+        for pair in pairs:
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise SerializationError(f"malformed monomial entry {pair!r}")
             label, e = pair
-            if label not in algebra.index:
+            if not isinstance(label, str) or label not in algebra.index:
                 raise SerializationError(f"unknown basis label {label!r}")
             if not isinstance(e, int) or e <= 0:
                 raise SerializationError(f"bad exponent {e!r} for {label}")
@@ -229,12 +237,24 @@ def sc_path(store, kind, p, n, m) -> Path:
     return Path(store) / f"sc_{kind}_p{p}_n{n}_m{_m_tag(m)}.json"
 
 
+def _write_atomic(path: Path, doc) -> Path:
+    """Write the canonical document through a temp file in the same directory
+    and ``os.replace``, so a failed write leaves any old file as it was."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(dumps_canonical(doc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def save_record(store, record: InvariantRecord) -> Path:
     pr = record.invariant.algebra.params
     path = record_path(store, pr.p, pr.n, pr.m, record.label)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_canonical(record_to_document(record)))
-    return path
+    return _write_atomic(path, record_to_document(record))
 
 
 def load_record(store, hbar: CartanAlgebra, label) -> InvariantRecord | None:
@@ -249,9 +269,7 @@ def load_record(store, hbar: CartanAlgebra, label) -> InvariantRecord | None:
 def save_structure_constants(store, algebra: CartanAlgebra) -> Path:
     pr = algebra.params
     path = sc_path(store, algebra.kind, pr.p, pr.n, pr.m)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_canonical(sc_document(algebra)))
-    return path
+    return _write_atomic(path, sc_document(algebra))
 
 
 def load_algebra(store, kind, params: FieldParams, hs=None) -> CartanAlgebra | None:

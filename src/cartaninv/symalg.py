@@ -295,10 +295,8 @@ def ad_partial(F: SymPolynomial, axis: int) -> SymPolynomial:
     return _ad_index(F, idx, sign)
 
 
-def d_gamma(F: SymPolynomial, gamma, budget=None, workers: int = 1) -> SymPolynomial:
+def d_gamma(F: SymPolynomial, gamma, budget=None) -> SymPolynomial:
     """Iterated operator ad(d_1)^g1 ... ad(d_n)^gn applied to F."""
-    if workers > 1 and len(F.terms) >= 2 * workers:
-        return _d_gamma_parallel(F, gamma, workers)
     for axis, g in enumerate(gamma):
         for _ in range(g):
             F = ad_partial(F, axis)
@@ -309,30 +307,10 @@ def d_gamma(F: SymPolynomial, gamma, budget=None, workers: int = 1) -> SymPolyno
     return F
 
 
-def d_delta(F: SymPolynomial, budget=None, workers: int = 1) -> SymPolynomial:
+def d_delta(F: SymPolynomial, budget=None) -> SymPolynomial:
     """The composite operator with gamma = delta; kills p-th powers' factors
     one step at a time and is independent of the factor order."""
-    return d_gamma(F, delta_of(F.algebra.params), budget, workers)
-
-
-def _d_gamma_worker(args):
-    algebra, ring, chunk, gamma = args
-    F = SymPolynomial(algebra, ring, dict(chunk))
-    return d_gamma(F, gamma).terms
-
-
-def _d_gamma_parallel(F: SymPolynomial, gamma, workers: int) -> SymPolynomial:
-    from concurrent.futures import ProcessPoolExecutor
-
-    items = list(F.terms.items())
-    chunks = [items[k::workers] for k in range(workers)]
-    chunks = [c for c in chunks if c]
-    out = SymPolynomial.zero(F.algebra, F.ring)
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        args = [(F.algebra, F.ring, chunk, gamma) for chunk in chunks]
-        for terms in pool.map(_d_gamma_worker, args):
-            out = out + SymPolynomial(F.algebra, F.ring, terms)
-    return out
+    return d_gamma(F, delta_of(F.algebra.params), budget)
 
 
 # -- invariance and generator criteria ----------------------------------------

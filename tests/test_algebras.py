@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_derivation
+from cartaninv import algebras
 from cartaninv.algebras import (
     CartanAlgebra,
     Derivation,
@@ -204,6 +205,39 @@ def test_closure_verification_catches_corruption(w1_p3):
     rows[(1, 0)] = ((1, -1),)
     with pytest.raises(ClosureError):
         CartanAlgebra("W", w1_p3.params, w1_p3.basis, rows)
+
+
+def test_build_hbar_checks_closure_once(monkeypatch, params3):
+    checked = []
+    verify = CartanAlgebra._verify_closure
+
+    def counted(self):
+        checked.append(self.kind)
+        return verify(self)
+
+    monkeypatch.setattr(CartanAlgebra, "_verify_closure", counted)
+    build_hbar(params3)
+    assert checked == ["Hbar"]
+    build_h(params3)  # on its own, H keeps the full check
+    assert checked == ["Hbar", "H"]
+
+
+def test_build_hbar_rejects_a_tampered_h_row(monkeypatch, params3):
+    honest = algebras.build_h
+
+    def tampered(params, hs=None, verify=True):
+        sub = honest(params, hs, verify=verify)
+        p = params.p
+        (i, j), row = next((ij, row) for ij, row in sorted(sub.rows_int.items())
+                           if ij[0] < ij[1] and any(c % p for _, c in row))
+        sub.rows_int[(i, j)] = tuple((k, 2 * c) for k, c in row)
+        sub.rows_int[(j, i)] = tuple((k, -2 * c) for k, c in row)
+        sub._mod_rows.clear()
+        return sub
+
+    monkeypatch.setattr(algebras, "build_h", tampered)
+    with pytest.raises(ClosureError):
+        build_hbar(params3)
 
 
 def test_equality_and_cache_roundtrip(hbar_p3):

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from conftest import TripClock, load_fixture, random_poly
-from cartaninv.errors import BudgetExceededError, ParameterError
+from cartaninv.errors import BudgetExceededError, NotInvariantError, ParameterError
 from cartaninv.modular import FieldParams, delta_of
 from cartaninv.pipeline import (
     Budget,
@@ -251,14 +251,27 @@ def test_budget_trips_inside_is_invariant(hbar_p5):
     probe = InvarianceProbe()
     assert delta_star(4, hbar_p5, probe).status == "ok"
     inside = [k + 1 for k, hit in enumerate(probe.inside) if hit]
-    # delta_star's own invariance check, then the one record.verify repeats
-    assert len(inside) == 2 * len(hbar_p5.h_subalgebra.lie_generators())
-    for trip, caller in ((inside[0], "delta_star"), (inside[-1], "verify")):
+    # one invariance check, the one record.verify makes
+    assert len(inside) == len(hbar_p5.h_subalgebra.lie_generators())
+    for trip in inside:
         with pytest.raises(BudgetExceededError) as exc:
             delta_star(4, hbar_p5, TripClock(trip))
         names = [entry.name for entry in exc.traceback]
         assert "is_invariant" in names
-        assert names[names.index("is_invariant") - 1] == caller
+        assert names[names.index("is_invariant") - 1] == "verify"
+
+
+def test_verify_raises_not_invariant_with_witness(hbar_p3):
+    h = hbar_p3.h_subalgebra
+    square = SymPolynomial.from_label(h, "u_{1,1}") ** 2
+    u = SymPolynomial.from_label(hbar_p3, "u_{2,2}")
+    record = InvariantRecord("Delta_2", 2, square, u ** 2,
+                             lambda_homogeneity(square), 1, 0)
+    with pytest.raises(NotInvariantError) as exc:
+        record.verify()
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.witness == is_invariant(square).witness
+    assert str(exc.value).startswith("Delta_2: not invariant, ad(u_{0,1}) = ")
 
 
 def test_delta_series_divisible_by_u(hbar_p5):

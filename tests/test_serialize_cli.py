@@ -1,5 +1,7 @@
 import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -167,8 +169,31 @@ def _drop_invariant_p(doc):
     return doc
 
 
+def _set_invariant(path, value):
+    """A mangle that puts ``value`` at the key ``path`` in the invariant."""
+
+    def mangle(doc):
+        node = doc["invariant"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+
+    return mangle
+
+
+MALFORMED_TERMS = [
+    pytest.param(_set_invariant(("terms", 0), [1]), id="term_not_object"),
+    pytest.param(_set_invariant(("terms", 0, "monomial"), 5), id="monomial_not_list"),
+    pytest.param(_set_invariant(("terms", 0, "monomial", 0, 0), ["u_{1,1}"]),
+                 id="label_is_list"),
+    pytest.param(_set_invariant(("terms",), 5), id="terms_not_list"),
+]
+
+
 @pytest.mark.parametrize("mangle", [_drop_generator, _drop_invariant_p,
-                                    lambda doc: [doc], lambda doc: "record"])
+                                    lambda doc: [doc], lambda doc: "record"]
+                         + MALFORMED_TERMS)
 def test_cli_verify_malformed_record_exits_2(tmp_path, capsys, record_p3, mangle):
     doc = mangle(serialize.record_to_document(record_p3))
     path = tmp_path / "malformed.json"
@@ -182,6 +207,15 @@ def test_document_to_record_malformed(hbar_p3, record_p3):
         with pytest.raises(SerializationError):
             serialize.document_to_record(
                 mangle(serialize.record_to_document(record_p3)), hbar_p3)
+
+
+def test_cli_generator_check_malformed_poly_exits_2(tmp_path, capsys, record_p3):
+    doc = serialize.poly_to_document(record_p3.generator)
+    doc["terms"][0] = [1]
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(doc))
+    assert main(["generator-check", "--p", "3", "--poly", str(path)]) == EX_USAGE
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_generator_check(capsys):
@@ -251,6 +285,54 @@ def test_cli_independence(tmp_path, capsys):
                "--labels", "Delta_2,Delta_6_star"])
     assert rc == EX_USAGE  # no such stored record
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("labels", ["../../etc/passwd", "Delta_2,Delta_",
+                                    "Delta_4_star_star", "Delta_2/../x"])
+def test_cli_labels_must_follow_the_grammar(tmp_path, capsys, labels):
+    rc = main(["independence", "--p", "3", "--store", str(tmp_path),
+               "--labels", labels])
+    assert rc == EX_USAGE
+    assert "bad record label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["independence", "--labels", "Delta_2,Delta_4_star,Delta_6_star"],
+    ["invariant-compute", "--power", "4"],
+])
+def test_cli_store_reads_verify_the_record(tmp_path, capsys, results_p5, argv):
+    for result in results_p5.values():
+        serialize.save_record(tmp_path, result.record)
+    path = serialize.record_path(tmp_path, 5, 2, (1, 1), "Delta_4_star")
+    doc = json.loads(path.read_text())
+    doc["lambda_value"] = 15
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--p", "5", "--store", str(tmp_path)]) == EX_FAIL
+    err = capsys.readouterr().err
+    assert "stored record failed verification: Delta_4_star: stored lambda 15" in err
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_store_write_failure_keeps_the_old_file(tmp_path, monkeypatch, record_p3,
+                                                fail_at):
+    path = serialize.save_record(tmp_path, record_p3)
+    old = path.read_bytes()
+    if fail_at == "write":
+        def write_half(self, text, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half)
+    else:
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(serialize.os, "replace", refuse)
+    with pytest.raises(OSError):
+        serialize.save_record(tmp_path, replace(record_p3, term_count=99))
+    assert path.read_bytes() == old
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
 
 def test_cli_help_exits_zero(capsys):

@@ -113,12 +113,6 @@ def test_ad_partial_nilpotent_and_kills_images(hbar_p3):
             assert ad_partial(d_delta(F), ax).is_zero()
 
 
-def test_workers_match_sequential(hbar_p3):
-    rng = random.Random(19)
-    F = random_poly(rng, hbar_p3, nterms=6)
-    assert d_delta(F, workers=2) == d_delta(F)
-
-
 def test_is_invariant(hbar_p3, record_p3):
     assert is_invariant(SymPolynomial.one(hbar_p3)).is_invariant
     rep = is_invariant(SymPolynomial.from_label(hbar_p3, "u_{1,1}"))
