@@ -67,6 +67,11 @@ class JobSpec:
             return None
         return Budget(max_terms=self.max_terms, max_seconds=self.max_seconds)
 
+    def clock(self):
+        """A started clock for the job's budget, or None when unlimited."""
+        budget = self.budget()
+        return None if budget is None else budget.start()
+
 
 def _build_algebra(spec: JobSpec, kind=None):
     kind = kind or spec.kind
@@ -89,12 +94,13 @@ class _StoredRecordFailed(Exception):
     """A stored record failed verification; ``run`` exits 1 with its message."""
 
 
-def _load_verified_record(store, hbar, label):
-    """The stored record for ``label`` after ``verify()``, or None if absent."""
+def _load_verified_record(store, hbar, label, clock=None):
+    """The stored record for ``label`` after ``verify(clock)``, or None if
+    absent."""
     record = serialize.load_record(store, hbar, label)
     if record is not None:
         try:
-            record.verify()
+            record.verify(clock)
         except ValueError as exc:
             raise _StoredRecordFailed(
                 f"stored record failed verification: {exc}") from exc
@@ -142,17 +148,18 @@ def _cmd_invariant_compute(spec: JobSpec) -> int:
     if spec.power is None:
         print("--power is required", file=sys.stderr)
         return EX_USAGE
+    clock = spec.clock()
     algebra = _build_algebra(spec)
     label_plain = f"Delta_{spec.power}"
     label_star = f"Delta_{spec.power}_star"
     if spec.store:
-        stored = _load_verified_record(spec.store, algebra, label_plain)
+        stored = _load_verified_record(spec.store, algebra, label_plain, clock)
         if stored is None:
-            stored = _load_verified_record(spec.store, algebra, label_star)
+            stored = _load_verified_record(spec.store, algebra, label_star, clock)
         if stored is not None:
             _output_record(spec, stored, verified_from_store=True)
             return EX_OK
-    result = delta_star(spec.power, algebra, spec.budget())
+    result = delta_star(spec.power, algebra, clock)
     if result.status == "zero":
         print(f"{result.label}: trivial ({result.detail})")
         return EX_OK
@@ -226,15 +233,16 @@ def _cmd_independence(spec: JobSpec) -> int:
     if not spec.labels:
         print("--labels is required", file=sys.stderr)
         return EX_USAGE
+    clock = spec.clock()
     hbar = _build_algebra(spec, kind="Hbar")
     records = []
     for label in spec.labels:
-        rec = _load_verified_record(spec.store, hbar, label)
+        rec = _load_verified_record(spec.store, hbar, label, clock)
         if rec is None:
             print(f"no stored record for {label}", file=sys.stderr)
             return EX_USAGE
         records.append(rec)
-    report = independence_report(records)
+    report = independence_report(records, clock)
     _print_independence(report)
     return EX_OK if report.all_independent else EX_FAIL
 
@@ -297,8 +305,9 @@ def run(spec: JobSpec) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EX_BUDGET
-    except (ParameterError, SerializationError, NotInSpanError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParameterError, SerializationError, NotInSpanError, OSError,
+            UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # OSError covers unreadable paths: missing files and directories
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
 

@@ -119,9 +119,11 @@ def lambda_value(algebra: CartanAlgebra, mono) -> int:
 
 def lambda_homogeneity(F: SymPolynomial) -> Optional[int]:
     """The common lambda of all monomials, or None when mixed."""
-    vals = {lambda_value(F.algebra, m) for m in F.terms}
-    if not vals:
+    if not F.terms:
         return 0
+    alg = F.algebra
+    weights = [lambda_of_variable(alg, v) for v in range(alg.dim)]
+    vals = {sum(e * weights[v] for v, e in m) for m in F.terms}
     return vals.pop() if len(vals) == 1 else None
 
 
@@ -298,13 +300,15 @@ def _product_expr(exps, records):
     )
 
 
-def independence_report(records) -> IndependenceReport:
+def independence_report(records, budget=None) -> IndependenceReport:
     """The stepwise independence evidence: each record against all earlier ones.
 
     A record is declared independent of its predecessors either vacuously (no
     product of earlier records has its degree), by lambda mismatch (every
     candidate product carries a different lambda), or by a rank computation
     showing it lies outside the span of the lambda-matching products.
+    ``budget`` is checked before each candidate product and each insert into
+    the rank solver.
     """
     records = list(records)
     if not records:
@@ -316,6 +320,12 @@ def independence_report(records) -> IndependenceReport:
         if r.lambda_value is None:
             raise ParameterError(f"{r.label} is not lambda-homogeneous")
     p = alg.params.p
+    clock = _clock(budget)
+
+    def checkpoint():
+        if clock is not None:
+            clock.checkpoint()
+
     entries = []
     all_ok = True
     for k, rec in enumerate(records):
@@ -343,6 +353,7 @@ def independence_report(records) -> IndependenceReport:
             # rank test against the lambda-matching candidate products
             products = []
             for exps in matching:
+                checkpoint()
                 prod = SymPolynomial.one(alg, "modp")
                 for e, r in zip(exps, earlier):
                     if e:
@@ -358,6 +369,7 @@ def independence_report(records) -> IndependenceReport:
                 vec = [0] * len(support)
                 for m, c in f.terms.items():
                     vec[pos[m]] = c
+                checkpoint()
                 solver.insert(vec)
             target = [0] * len(support)
             for m, c in rec.invariant.terms.items():

@@ -50,21 +50,6 @@ def _mono_mul(a, b):
     return tuple(sorted(d.items()))
 
 
-def _mono_lower(mono, t):
-    """Remove one power of the t-th factor of the monomial."""
-    v, e = mono[t]
-    if e == 1:
-        return mono[:t] + mono[t + 1:]
-    return mono[:t] + ((v, e - 1),) + mono[t + 1:]
-
-
-def _mono_raise(mono, k):
-    """Multiply the monomial by the variable with index k."""
-    d = dict(mono)
-    d[k] = d.get(k, 0) + 1
-    return tuple(sorted(d.items()))
-
-
 class SymPolynomial:
     """Element of S(L) over the integers or over F_p."""
 
@@ -251,30 +236,69 @@ def render_text(F: SymPolynomial) -> str:
 
 
 # -- adjoint action ----------------------------------------------------------
+#
+# The ad passes run on packed keys: the monomial ((v, e), ...) becomes the
+# integer sum of e << (width * v), where width is the bit length of the largest
+# total degree (1 for constants).  A pass keeps every monomial's degree, so no
+# exponent outgrows its field, and moving one power from factor v to factor k
+# is one addition of unit[k] - unit[v].  Packing never leaves this layer:
+# every SymPolynomial keeps tuple keys.
+
+def _width(F: SymPolynomial) -> int:
+    top = max((mono_degree(m) for m in F.terms), default=0)
+    return top.bit_length() or 1
+
+
+def _pack_terms(F: SymPolynomial, width: int):
+    """(packed key, coefficient, factors) triples for the terms of F."""
+    return [(sum(e << (width * v) for v, e in m), c, m) for m, c in F.terms.items()]
+
+
+def _unpack(key: int, width: int):
+    """The monomial tuple of a packed key, peeling off its lowest field."""
+    mask = (1 << width) - 1
+    mono = []
+    while key:
+        v = ((key & -key).bit_length() - 1) // width
+        e = (key >> (width * v)) & mask
+        mono.append((v, e))
+        key -= e << (width * v)
+    return tuple(mono)
+
+
+def _ad_pass(F: SymPolynomial, idx: int, sign: int, width: int, packed):
+    """One ad pass of sign * (the idx-th basis element) over ``packed``, an
+    iterable of (packed key, coefficient, factors) triples in F's algebra and
+    ring.  Returns the packed image with its zero terms dropped."""
+    alg = F.algebra
+    rows = alg.row_mod if F.ring == "modp" else alg.row_int
+    unit = [1 << (width * v) for v in range(alg.dim)]
+    steps = [tuple((unit[k] - unit[v], sign * rc) for k, rc in rows(idx, v))
+             for v in range(alg.dim)]
+    out = {}
+    get = out.get
+    for key, c, factors in packed:
+        for v, e in factors:
+            row = steps[v]
+            if row:
+                ce = c * e
+                for step, rc in row:
+                    m = key + step
+                    out[m] = get(m, 0) + ce * rc
+    if F.ring == "modp":
+        p = alg.params.p
+        return {m: r for m, c in out.items() if (r := c % p)}
+    return {m: c for m, c in out.items() if c}
+
+
+def _from_packed(F: SymPolynomial, packed: dict, width: int) -> SymPolynomial:
+    return F._bare({_unpack(m, width): c for m, c in packed.items()})
+
 
 def _ad_index(F: SymPolynomial, idx: int, sign: int = 1) -> SymPolynomial:
     """The derivation of S(L) extending ad of the idx-th basis element."""
-    alg = F.algebra
-    rows = alg.row_mod if F.ring == "modp" else alg.row_int
-    out = {}
-    for mono, c in F.terms.items():
-        for t, (v, e) in enumerate(mono):
-            row = rows(idx, v)
-            if not row:
-                continue
-            base = _mono_lower(mono, t)
-            ce = c * e * sign
-            for k, rc in row:
-                m = _mono_raise(base, k)
-                s = out.get(m, 0) + ce * rc
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    if F.ring == "modp":
-        p = alg.params.p
-        out = {m: c % p for m, c in out.items() if c % p}
-    return F._bare(out)
+    width = _width(F)
+    return _from_packed(F, _ad_pass(F, idx, sign, width, _pack_terms(F, width)), width)
 
 
 def ad_action(b, F: SymPolynomial) -> SymPolynomial:
@@ -296,15 +320,25 @@ def ad_partial(F: SymPolynomial, axis: int) -> SymPolynomial:
 
 
 def d_gamma(F: SymPolynomial, gamma, budget=None) -> SymPolynomial:
-    """Iterated operator ad(d_1)^g1 ... ad(d_n)^gn applied to F."""
+    """Iterated operator ad(d_1)^g1 ... ad(d_n)^gn applied to F.
+
+    The passes chain on packed keys; ``budget.charge`` sees the term count
+    after every pass.
+    """
+    if not any(gamma):
+        return F
+    width = _width(F)
+    packed = _pack_terms(F, width)
     for axis, g in enumerate(gamma):
+        idx, sign = F.algebra.partial_coords[axis]
         for _ in range(g):
-            F = ad_partial(F, axis)
+            terms = _ad_pass(F, idx, sign, width, packed)
             if budget is not None:
-                budget.charge(len(F.terms))
-            if not F:
-                return F
-    return F
+                budget.charge(len(terms))
+            if not terms:
+                return F._bare({})
+            packed = ((m, c, _unpack(m, width)) for m, c in terms.items())
+    return _from_packed(F, terms, width)
 
 
 def d_delta(F: SymPolynomial, budget=None) -> SymPolynomial:
@@ -335,12 +369,15 @@ def is_invariant(F: SymPolynomial, budget=None) -> InvarianceReport:
     a clock whose ``checkpoint()`` runs before each ad pass.
     """
 
+    alg = F.algebra
+    width = _width(F)
+    packed = _pack_terms(F, width)
+
     def ad(idx):
         if budget is not None:
             budget.checkpoint()
-        return _ad_index(F, idx)
+        return _from_packed(F, _ad_pass(F, idx, 1, width, packed), width)
 
-    alg = F.algebra
     checked = alg.lie_generators() if F.ring == "modp" else range(alg.dim)
     for g in checked:
         img = ad(g)

@@ -48,6 +48,34 @@ class TripClock:
             raise BudgetExceededError("stub budget tripped")
 
 
+def ad_index_oracle(F, idx, sign=1):
+    """The tuple-key ad kernel: the derivation of S(L) extending ad of the
+    idx-th basis element, one monomial rebuilt per term update."""
+    alg = F.algebra
+    rows = alg.row_mod if F.ring == "modp" else alg.row_int
+    out = {}
+    for mono, c in F.terms.items():
+        for t, (v, e) in enumerate(mono):
+            row = rows(idx, v)
+            if not row:
+                continue
+            base = mono[:t] + (((v, e - 1),) if e > 1 else ()) + mono[t + 1:]
+            ce = c * e * sign
+            for k, rc in row:
+                raised = dict(base)
+                raised[k] = raised.get(k, 0) + 1
+                m = tuple(sorted(raised.items()))
+                s = out.get(m, 0) + ce * rc
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    if F.ring == "modp":
+        p = alg.params.p
+        out = {m: c % p for m, c in out.items() if c % p}
+    return SymPolynomial(alg, F.ring, out)
+
+
 def random_derivation(rng, algebra):
     out = None
     for _ in range(rng.randint(1, 3)):

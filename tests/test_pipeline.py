@@ -261,6 +261,18 @@ def test_budget_trips_inside_is_invariant(hbar_p5):
         assert names[names.index("is_invariant") - 1] == "verify"
 
 
+def test_independence_report_checkpoints(results_p5):
+    records = [results_p5[i].record for i in (2, 4, 6)]
+    clock = TripClock()
+    want = independence_report(records)
+    assert independence_report(records, clock) == want
+    # Delta_4_star: one candidate product, built and inserted
+    assert clock.checkpoints == 2
+    for trip in range(1, clock.checkpoints + 1):
+        with pytest.raises(BudgetExceededError):
+            independence_report(records, TripClock(trip))
+
+
 def test_verify_raises_not_invariant_with_witness(hbar_p3):
     h = hbar_p3.h_subalgebra
     square = SymPolynomial.from_label(h, "u_{1,1}") ** 2

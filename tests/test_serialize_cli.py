@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_poly
-from cartaninv import serialize
+from conftest import TripClock, random_poly
+from cartaninv import pipeline, serialize
 from cartaninv.cli import EX_BUDGET, EX_FAIL, EX_OK, EX_USAGE, JobSpec, main, run
 from cartaninv.errors import SerializationError
 from cartaninv.symalg import SymPolynomial
@@ -310,6 +310,44 @@ def test_cli_store_reads_verify_the_record(tmp_path, capsys, results_p5, argv):
     assert main(argv + ["--p", "5", "--store", str(tmp_path)]) == EX_FAIL
     err = capsys.readouterr().err
     assert "stored record failed verification: Delta_4_star: stored lambda 15" in err
+
+
+@pytest.mark.parametrize("argv", [["invariant-verify"],
+                                  ["generator-check", "--p", "3", "--poly"]])
+@pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+def test_cli_unreadable_input_file_exits_2(tmp_path, capsys, argv, unreadable):
+    path = tmp_path / "input.json"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    assert main(argv + [str(path)]) == EX_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture
+def trip_first_checkpoint(monkeypatch):
+    """Every budget the CLI starts trips on its first checkpoint."""
+    monkeypatch.setattr(pipeline.Budget, "start", lambda self: TripClock(trip=1))
+
+
+def test_cli_store_hit_honours_the_budget(tmp_path, capsys, results_p5,
+                                          trip_first_checkpoint):
+    serialize.save_record(tmp_path, results_p5[4].record)
+    argv = ["invariant-compute", "--p", "5", "--power", "4", "--store", str(tmp_path)]
+    assert main(argv + ["--max-seconds", "60"]) == EX_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err
+    assert main(argv) == EX_OK  # no budget: the stored record verifies
+    assert "verified against store" in capsys.readouterr().out
+
+
+def test_cli_independence_honours_the_budget(tmp_path, capsys, results_p5,
+                                             trip_first_checkpoint):
+    for result in results_p5.values():
+        serialize.save_record(tmp_path, result.record)
+    assert main(["independence", "--p", "5", "--store", str(tmp_path), "--labels",
+                 "Delta_2,Delta_4_star,Delta_6_star", "--max-seconds", "60"]) == EX_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fail_at", ["write", "replace"])

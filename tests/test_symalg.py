@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from conftest import TripClock, random_poly
-from cartaninv.algebras import Derivation
+from conftest import TripClock, ad_index_oracle, random_poly
+from cartaninv.algebras import Derivation, build_w
 from cartaninv import symalg
 from cartaninv.errors import BudgetExceededError, ParameterError
-from cartaninv.modular import delta_of
+from cartaninv.modular import FieldParams, delta_of
 from cartaninv.symalg import (
     SymPolynomial,
     ad_action,
@@ -48,6 +48,68 @@ def test_ad_examples(w1_p3):
     e1 = SymPolynomial.from_label(w1_p3, "x^(2)d_1")
     xd = w1_p3.index["x^(1)d_1"]
     assert ad_action(xd, e1 * e1) == (e1 * e1).scale(2)
+
+
+@pytest.fixture(scope="module")
+def kernel_algebras(hbar_p3, hbar_p5, w2_p3, w2_p5, s2_p3, s2_p5):
+    """W_1(2), W_2(1,1), S_2(1,1), H and Hbar at p = 3 and p = 5."""
+    out = []
+    for p, w2, s2, hbar in ((3, w2_p3, s2_p3, hbar_p3), (5, w2_p5, s2_p5, hbar_p5)):
+        out += [build_w(FieldParams(p, 1, (2,))), w2, s2, hbar.h_subalgebra, hbar]
+    return out
+
+
+@pytest.mark.parametrize("ring", ["modp", "int"])
+def test_ad_pass_matches_tuple_key_oracle(kernel_algebras, ring):
+    rng = random.Random(37)
+    for alg in kernel_algebras:
+        for _ in range(3):
+            F = random_poly(rng, alg, max_degree=5, nterms=5, ring=ring)
+            for idx in range(alg.dim):
+                for sign in (1, -1):
+                    assert symalg._ad_index(F, idx, sign) == ad_index_oracle(F, idx, sign)
+
+
+@pytest.mark.parametrize("e, width", [(7, 3), (8, 4), (15, 4), (16, 5)])
+def test_packed_width_boundaries(hbar_p5, e, width):
+    # one variable whose exponent fills its field, next to both neighbours
+    for v in (0, 1, hbar_p5.dim // 2, hbar_p5.dim - 1):
+        F = SymPolynomial(hbar_p5, "modp", {((v, e),): 1})
+        assert symalg._width(F) == width
+        for idx in range(hbar_p5.dim):
+            assert symalg._ad_index(F, idx) == ad_index_oracle(F, idx)
+    u = SymPolynomial.variable(hbar_p5, hbar_p5.dim - 1, "int") ** e
+    want = u
+    for axis, g in enumerate(delta_of(hbar_p5.params)):
+        idx, sign = hbar_p5.partial_coords[axis]
+        for _ in range(g):
+            want = ad_index_oracle(want, idx, sign)
+    assert d_delta(u) == want
+
+
+class ChargeRecorder:
+    def __init__(self):
+        self.charged = []
+
+    def charge(self, nterms):
+        self.charged.append(nterms)
+
+
+def test_d_gamma_charges_each_pass(hbar_p5):
+    rng = random.Random(43)
+    u = SymPolynomial.variable(hbar_p5, hbar_p5.dim - 1)
+    for F in [u ** 4, u ** 6] + [random_poly(rng, hbar_p5, 4, 6) for _ in range(3)]:
+        for gamma in ((4, 4), (2, 3), (0, 2)):
+            clock = ChargeRecorder()
+            got = d_gamma(F, gamma, clock)
+            want, counts = F, []
+            for axis, g in enumerate(gamma):
+                for _ in range(g):
+                    if want:
+                        want = ad_partial(want, axis)
+                        counts.append(len(want))
+            assert got == want
+            assert clock.charged == counts
 
 
 def test_ad_leibniz(hbar_p5):
@@ -176,13 +238,13 @@ def test_is_invariant_passes_per_ring(monkeypatch, hbar_p5, results_p5):
     ints = [random_poly(rng, hbar_p5, ring="int") for _ in range(5)]
     cases = [(SymPolynomial.one(h, "int"), None)] + [(F, full_scan(F)) for F in ints]
     calls = []
-    ad_index = symalg._ad_index
+    ad_pass = symalg._ad_pass
 
-    def counted(F, idx, sign=1):
+    def counted(F, idx, *args):
         calls.append(idx)
-        return ad_index(F, idx, sign)
+        return ad_pass(F, idx, *args)
 
-    monkeypatch.setattr(symalg, "_ad_index", counted)
+    monkeypatch.setattr(symalg, "_ad_pass", counted)
     assert is_invariant(inv).is_invariant
     assert calls == list(h.lie_generators())
     # the integer ring scans the basis in order up to the first witness
