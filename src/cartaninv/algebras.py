@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .dividedpowers import DPPolynomial, dp_basis
@@ -161,26 +160,10 @@ class BasisElement(NamedTuple):
     grade: int
 
 
-@lru_cache(maxsize=None)
-def _dp_pos(params):
-    return {a: i for i, a in enumerate(dp_basis(params))}
-
-
-def _unit(width, i):
-    vec = [0] * width
-    vec[i] = 1
-    return vec
-
-
-def _derivation_vector(params, d: Derivation):
-    """Flatten a derivation into its dense mod-p coefficient vector."""
-    pos = _dp_pos(params)
-    k = len(pos)
-    vec = [0] * (params.n * k)
-    for ax, f in enumerate(d.coeffs):
-        for alpha, c in f.terms.items():
-            vec[ax * k + pos[alpha]] = c
-    return vec
+def _derivation_vector(d: Derivation):
+    """A derivation as the sparse vector {(axis, alpha): coeff}."""
+    return {(ax, alpha): c for ax, f in enumerate(d.coeffs)
+            for alpha, c in f.terms.items()}
 
 
 class CartanAlgebra:
@@ -251,7 +234,7 @@ class CartanAlgebra:
                 if span.rank == self.dim:
                     break
                 gens.append(next(i for i in range(self.dim)
-                                 if span.solve(_unit(self.dim, i)) is None))
+                                 if span.solve({i: 1}) is None))
             self._generators = tuple(sorted(gens))
         return self._generators
 
@@ -261,16 +244,15 @@ class CartanAlgebra:
         The subalgebra is spanned by the nested brackets [g1, [g2, ... gk]], so
         closing the span under ad(g) for each generator g suffices.
         """
-        span = SpanSolver(self.params.p, self.dim)
-        fresh = [v for v in (_unit(self.dim, g) for g in gens) if span.insert(v)]
+        span = SpanSolver(self.params.p)
+        fresh = [v for v in ({g: 1} for g in gens) if span.insert(v)]
         while fresh:
             vec = fresh.pop()
             for g in gens:
-                out = [0] * self.dim
-                for k, c in enumerate(vec):
-                    if c:
-                        for t, rc in self.row_mod(g, k):
-                            out[t] += c * rc
+                out = {}
+                for k, c in vec.items():
+                    for t, rc in self.row_mod(g, k):
+                        out[t] = out.get(t, 0) + c * rc
                 if span.insert(out):
                     fresh.append(out)
         return span
@@ -295,10 +277,9 @@ class CartanAlgebra:
     # -- coordinates ---------------------------------------------------------
     def _get_solver(self):
         if self._solver is None:
-            width = self.params.n * self.params.dim_k
-            solver = SpanSolver(self.params.p, width)
+            solver = SpanSolver(self.params.p)
             for b in self.basis:
-                if not solver.insert(_derivation_vector(self.params, b.derivation)):
+                if not solver.insert(_derivation_vector(b.derivation)):
                     raise ClosureError(f"stored basis of {self.kind} is dependent")
             self._solver = solver
         return self._solver
@@ -346,20 +327,10 @@ def decompose(d: Derivation, algebra: CartanAlgebra):
     """Coordinates of a derivation in the ordered basis, over F_p."""
     if d.params != algebra.params:
         raise ParameterError("derivation parameters do not match the algebra")
-    if algebra.kind == "W":
-        # the W basis is the monomial coordinate system itself
-        coords = [0] * algebra.dim
-        for ax, f in enumerate(d.coeffs):
-            for alpha, c in f.terms.items():
-                coords[algebra.index[_w_label(alpha, ax)]] = c
-        return coords
-    sol = algebra._get_solver().solve(_derivation_vector(algebra.params, d))
+    sol = algebra._get_solver().solve(_derivation_vector(d))
     if sol is None:
         raise NotInSpanError(f"derivation outside the span of {algebra.kind}")
-    coords = [0] * algebra.dim
-    for k, c in sol.items():
-        coords[k] = c
-    return coords
+    return [sol.get(k, 0) for k in range(algebra.dim)]
 
 
 def filtration_basis(algebra: CartanAlgebra, i: int):
@@ -548,7 +519,7 @@ def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
     validate_for_kind(params, "S")
     p = params.p
     delta = delta_of(params)
-    solver = SpanSolver(p, params.n * params.dim_k)
+    solver = SpanSolver(p)
     chosen = []
     for alpha in dp_basis(params):
         if not any(alpha):
@@ -558,7 +529,7 @@ def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
                 d = _s_field(params, alpha, i, j)
                 if not d:
                     continue
-                if solver.insert(_derivation_vector(params, d)):
+                if solver.insert(_derivation_vector(d)):
                     chosen.append((alpha, i, j, d))
     basis = [
         BasisElement(_s_label(a, i, j), d, sum(a) - 2) for a, i, j, d in chosen
@@ -580,14 +551,14 @@ def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
         return CartanAlgebra("S", params, basis, rows, verify=verify)
     # n >= 3: no closed integral form is used; decompose the honest bracket
     # over F_p and store least non-negative residues
-    basis_solver = SpanSolver(p, params.n * params.dim_k)
+    basis_solver = SpanSolver(p)
     for b in basis:
-        basis_solver.insert(_derivation_vector(params, b.derivation))
+        basis_solver.insert(_derivation_vector(b.derivation))
     rows = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             br = bracket(basis[i].derivation, basis[j].derivation)
-            sol = basis_solver.solve(_derivation_vector(params, br))
+            sol = basis_solver.solve(_derivation_vector(br))
             if sol is None:
                 raise ClosureError("S bracket left the computed span")
             row = tuple(sorted((k, c) for k, c in sol.items() if c))

@@ -1,29 +1,42 @@
-"""Small dense linear algebra over the prime field F_p.
+"""Sparse linear algebra over the prime field F_p.
 
-Dimensions here are tiny (basis sizes up to ~100, monomial supports up to a
-few tens of thousands for span tests), so plain row reduction on Python ints
-is exact and fast enough.
+Vectors are dicts ``{key: coeff}`` over any hashable keys: basis indices,
+``(axis, alpha)`` derivation coordinates or monomials.  Rows are reduced on
+Python ints, so the arithmetic is exact, and a reduction only touches the
+rows whose pivot key the vector holds.
 """
 
 from __future__ import annotations
 
 
+def _sub_scaled(dst, f, src, p):
+    """dst -= f * src over F_p, in place, dropping the entries that vanish."""
+    for k, c in src.items():
+        nc = (dst.get(k, 0) - f * c) % p
+        if nc:
+            dst[k] = nc
+        else:
+            dst.pop(k, None)
+
+
 class SpanSolver:
-    """Incremental Gauss-Jordan elimination with expression tracking.
+    """Incremental sparse Gauss-Jordan elimination with expression tracking.
 
-    Vectors are dense lists of residues mod p.  ``insert`` keeps a vector
-    when it is independent of the span so far; ``solve`` expresses a vector
-    as a combination of the inserted independent vectors (keyed by insertion
-    order), returning None when it lies outside the span.
+    ``insert`` keeps a vector when it is independent of the span so far;
+    ``solve`` expresses a vector as a combination of the inserted independent
+    vectors (keyed by insertion order), returning None when it lies outside
+    the span.  Coordinates and relations come out in insertion order.
 
-    The stored rows are kept fully reduced against each other (RREF), so a
-    single left-to-right sweep reduces any vector completely.
+    The stored rows are kept fully reduced against each other, so no row
+    holds another row's pivot key and one pass over a vector's pivot keys
+    reduces it completely.  The pivot is the first key of the residual; every
+    result a caller reads (independence, ``solve`` coordinates, relations,
+    rank) is the same whichever key is chosen.
     """
 
-    def __init__(self, p: int, width: int):
+    def __init__(self, p: int):
         self.p = p
-        self.width = width
-        self.rows = {}  # pivot column -> (unit-pivot row, {inserted index: coeff})
+        self.rows = {}  # pivot key -> (unit-pivot row, {inserted index: coeff})
         self.ninserted = 0
 
     @property
@@ -33,21 +46,13 @@ class SpanSolver:
     def _reduce(self, vec):
         # returns (residual, expr) with residual = vec + sum expr[k] * inserted_k
         p = self.p
-        vec = [x % p for x in vec]
+        vec = {k: c % p for k, c in vec.items() if c % p}
         expr = {}
-        for col in range(self.width):
-            x = vec[col]
-            if x == 0:
-                continue
-            hit = self.rows.get(col)
-            if hit is None:
-                continue
-            row, rexpr = hit
-            for j in range(col, self.width):
-                if row[j]:
-                    vec[j] = (vec[j] - x * row[j]) % p
-            for k, c in rexpr.items():
-                expr[k] = (expr.get(k, 0) - x * c) % p
+        for key in [k for k in vec if k in self.rows]:
+            x = vec[key]
+            row, rexpr = self.rows[key]
+            _sub_scaled(vec, x, row, p)
+            _sub_scaled(expr, x, rexpr, p)
         return vec, expr
 
     def insert(self, vec) -> bool:
@@ -67,51 +72,38 @@ class SpanSolver:
         red, expr = self._reduce(vec)
         mine = self.ninserted
         self.ninserted += 1
-        pivot = next((c for c in range(self.width) if red[c]), None)
-        if pivot is None:
-            relation = {k: c for k, c in expr.items() if c}
+        if not red:
+            relation = {k: expr[k] for k in sorted(expr)}
             relation[mine] = 1
             return relation
+        pivot = next(iter(red))
         inv = pow(red[pivot], p - 2, p)
-        row = [x * inv % p for x in red]
-        rexpr = {k: c * inv % p for k, c in expr.items() if c}
+        row = {k: x * inv % p for k, x in red.items()}
+        rexpr = {k: c * inv % p for k, c in expr.items()}
         rexpr[mine] = inv
-        # back-substitute into existing rows to keep the RREF invariant
-        for pc, (orow, oexpr) in self.rows.items():
-            f = orow[pivot]
-            if f == 0:
-                continue
-            for j in range(self.width):
-                if row[j]:
-                    orow[j] = (orow[j] - f * row[j]) % p
-            for k, c in rexpr.items():
-                nc = (oexpr.get(k, 0) - f * c) % p
-                if nc:
-                    oexpr[k] = nc
-                else:
-                    oexpr.pop(k, None)
+        # back-substitute into existing rows to keep them fully reduced
+        for orow, oexpr in self.rows.values():
+            f = orow.get(pivot)
+            if f is not None:
+                _sub_scaled(orow, f, row, p)
+                _sub_scaled(oexpr, f, rexpr, p)
         self.rows[pivot] = (row, rexpr)
         return None
 
     def solve(self, vec):
         """Coefficients over inserted vectors with sum = vec, or None."""
         red, expr = self._reduce(vec)
-        if any(red):
+        if red:
             return None
-        return {k: (-c) % self.p for k, c in expr.items() if c % self.p}
+        return {k: -expr[k] % self.p for k in sorted(expr)}
 
 
 def kernel_basis(rows, width: int, p: int):
     """Basis of the right kernel {v : M v = 0} of the matrix with given rows."""
-    nrows = len(rows)
-    solver = SpanSolver(p, nrows)
+    solver = SpanSolver(p)
     out = []
     for j in range(width):
-        col = [rows[i][j] % p for i in range(nrows)]
-        rel = solver.insert_or_relation(col)
+        rel = solver.insert_or_relation({i: row[j] for i, row in enumerate(rows)})
         if rel is not None:
-            v = [0] * width
-            for k, c in rel.items():
-                v[k] = c
-            out.append(v)
+            out.append([rel.get(k, 0) for k in range(width)])
     return out

@@ -15,7 +15,7 @@ from .algebras import CartanAlgebra, HamiltonianStructure, build_hbar
 from .errors import BudgetExceededError, NotInvariantError, ParameterError
 from .gflinalg import SpanSolver
 from .modular import FieldParams, delta_of, p_valuation
-from .symalg import SymPolynomial, d_delta, is_invariant, mono_degree
+from .symalg import SymPolynomial, d_delta, is_invariant
 
 
 # -- budgets -------------------------------------------------------------------
@@ -359,22 +359,11 @@ def independence_report(records, budget=None) -> IndependenceReport:
                     if e:
                         prod = prod * r.invariant ** e
                 products.append(prod)
-            support = sorted(
-                {m for f in products for m in f.terms} | set(rec.invariant.terms),
-                key=lambda m: (mono_degree(m), m),
-            )
-            pos = {m: i for i, m in enumerate(support)}
-            solver = SpanSolver(p, len(support))
+            solver = SpanSolver(p)
             for f in products:
-                vec = [0] * len(support)
-                for m, c in f.terms.items():
-                    vec[pos[m]] = c
                 checkpoint()
-                solver.insert(vec)
-            target = [0] * len(support)
-            for m, c in rec.invariant.terms.items():
-                target[pos[m]] = c
-            combo = solver.solve(target)
+                solver.insert(f.terms)
+            combo = solver.solve(rec.invariant.terms)
             if combo is None:
                 decision, dependency = "not-in-span", None
             else:
@@ -436,7 +425,13 @@ def conjecture_sweep(p: int, budget: Optional[Budget] = None,
             note = f"budget exhausted at power {power}: {exc}"
             break
     records = tuple(r.record for r in results if r.status == "ok")
-    independence = independence_report(records) if records else None
+    independence = None
+    if records:
+        try:
+            independence = independence_report(records, clock)
+        except BudgetExceededError as exc:
+            completed = False
+            note = note or f"budget exhausted in the independence test: {exc}"
     count = independence.independent_count if independence else 0
     return SweepReport(
         p=p,

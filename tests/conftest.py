@@ -9,7 +9,7 @@ import pytest
 from cartaninv.algebras import build_hbar, build_s, build_w
 from cartaninv.errors import BudgetExceededError
 from cartaninv.modular import FieldParams
-from cartaninv.pipeline import delta_star
+from cartaninv.pipeline import conjecture_sweep, delta_star
 from cartaninv.symalg import SymPolynomial
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -141,3 +141,11 @@ def record_p3(hbar_p3):
 def results_p5(hbar_p5):
     """The three pipeline runs of the p = 5 series, computed once."""
     return {i: delta_star(i, hbar_p5) for i in (2, 4, 6)}
+
+
+@pytest.fixture(scope="session")
+def sweep_p5_checkpoints():
+    """The number of budget checkpoints one untripped p = 5 sweep makes."""
+    clock = TripClock()
+    assert conjecture_sweep(5, clock).completed
+    return clock.checkpoints

@@ -171,6 +171,35 @@ def test_decompose(w2_p3, hbar_p3, s2_p3):
         decompose(Derivation.partial(FieldParams(5, 2, (1, 1)), 0), w2_p3)
 
 
+@pytest.mark.parametrize("p, n, m", [(3, 1, (2,)), (5, 1, (2,)),
+                                     (3, 2, (1, 1)), (5, 2, (1, 1))])
+def test_decompose_w_gives_monomial_coordinates(p, n, m):
+    alg = build_w(FieldParams(p, n, m))
+
+    def label_coords(d):
+        # the W basis is the monomial coordinate system: look each term up
+        coords = [0] * alg.dim
+        for ax, f in enumerate(d.coeffs):
+            for alpha, c in f.terms.items():
+                label = "x^(%s)d_%d" % (",".join(map(str, alpha)), ax + 1)
+                coords[alg.index[label]] = c
+        return coords
+
+    for b in alg.basis:
+        assert decompose(b.derivation, alg) == label_coords(b.derivation)
+    rng = random.Random(p * 10 + n)
+    monos = dp_basis(alg.params)
+    for _ in range(20):
+        d = Derivation(alg.params, [
+            DPPolynomial(alg.params, {a: rng.randrange(p) for a in
+                                      rng.sample(monos, rng.randint(0, len(monos)))})
+            for _ in range(n)
+        ])
+        assert decompose(d, alg) == label_coords(d)
+        d = random_derivation(rng, alg)
+        assert decompose(d, alg) == label_coords(d)
+
+
 def test_partial_coords(hbar_p3, s2_p3, w2_p3):
     # d_1 = -u_{0,1}, d_2 = +u_{1,0} under the standard sign convention
     assert hbar_p3.partial_coords == ((0, -1), (1, 1))

@@ -1,0 +1,37 @@
+"""The package runs on the standard library alone: no runtime dependencies."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "cartaninv").glob("*.py"))
+
+
+def imported_modules(path):
+    """Top-level names of the absolute imports in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_cartaninv(path):
+    foreign = {name for name in imported_modules(path)
+               if name != "cartaninv" and name not in sys.stdlib_module_names}
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_sources_found():
+    assert ROOT / "src" / "cartaninv" / "gflinalg.py" in SOURCES
+
+
+def test_pyproject_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []

@@ -273,6 +273,15 @@ def test_independence_report_checkpoints(results_p5):
             independence_report(records, TripClock(trip))
 
 
+def test_sweep_budget_trip_in_the_rank_test(sweep_p5_checkpoints):
+    # the last checkpoint of the sweep guards the rank test's insert
+    report = conjecture_sweep(5, TripClock(sweep_p5_checkpoints))
+    assert [r.status for r in report.results] == ["ok"] * 3
+    assert not report.completed and not report.matches_index
+    assert report.independence is None and report.independent_count == 0
+    assert report.note.startswith("budget exhausted in the independence test")
+
+
 def test_verify_raises_not_invariant_with_witness(hbar_p3):
     h = hbar_p3.h_subalgebra
     square = SymPolynomial.from_label(h, "u_{1,1}") ** 2

@@ -350,6 +350,18 @@ def test_cli_independence_honours_the_budget(tmp_path, capsys, results_p5,
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_cli_conjecture_budget_trip_in_the_rank_test(capsys, monkeypatch,
+                                                     sweep_p5_checkpoints):
+    monkeypatch.setattr(pipeline.Budget, "start",
+                        lambda self: TripClock(trip=sweep_p5_checkpoints))
+    assert main(["conjecture", "--p", "5", "--max-seconds", "60"]) == EX_BUDGET
+    out, err = capsys.readouterr()
+    assert [line.split(":")[0] for line in out.splitlines()[:3]] == [
+        "power 2", "power 4", "power 6"]
+    assert "independent invariants: 0, external index value: 3, match: no" in out
+    assert err.startswith("partial results: budget exhausted in the independence test")
+
+
 @pytest.mark.parametrize("fail_at", ["write", "replace"])
 def test_store_write_failure_keeps_the_old_file(tmp_path, monkeypatch, record_p3,
                                                 fail_at):
