@@ -147,15 +147,18 @@ def _check_record_shape(doc) -> None:
                 f"invariant record field {key} is missing or not a {kind.__name__}")
 
 
+def _field_params(doc, what: str) -> FieldParams:
+    p, n, m = doc.get("p"), doc.get("n"), doc.get("m")
+    if not (isinstance(p, int) and isinstance(n, int) and isinstance(m, list)
+            and all(isinstance(x, int) for x in m)):
+        raise SerializationError(f"{what} document needs integer p, n and m")
+    return FieldParams(p, n, tuple(m))
+
+
 def record_params(doc) -> FieldParams:
     """The field parameters an invariant record document names."""
     _check_record_shape(doc)
-    inv = doc["invariant"]
-    p, n, m = inv.get("p"), inv.get("n"), inv.get("m")
-    if not (isinstance(p, int) and isinstance(n, int) and isinstance(m, list)
-            and all(isinstance(x, int) for x in m)):
-        raise SerializationError("invariant document needs integer p, n and m")
-    return FieldParams(p, n, tuple(m))
+    return _field_params(doc["invariant"], "invariant")
 
 
 def document_to_record(doc, hbar: CartanAlgebra) -> InvariantRecord:
@@ -196,25 +199,22 @@ def sc_document(algebra: CartanAlgebra) -> dict:
 def algebra_from_sc_document(doc, hs=None) -> CartanAlgebra:
     """Rebuild an algebra from a cached tensor, skipping bracket verification.
 
-    The basis is re-enumerated deterministically; the document's rows must
-    agree with the freshly computed closed forms, which is the cheap
-    consistency check replacing the full derivation-level verification.
+    The basis is re-enumerated deterministically; the document's basis and
+    rows must equal those rendered from the freshly computed closed forms,
+    which is the cheap consistency check replacing the full derivation-level
+    verification.  Any other shape of document fails that comparison.
     """
     if not isinstance(doc, dict) or doc.get("format") != SC_FORMAT:
         raise SerializationError(f"expected a {SC_FORMAT} document")
     if doc.get("version") != VERSION:
         raise SerializationError("format version mismatch for structure constants")
-    params = FieldParams(doc["p"], doc["n"], tuple(doc["m"]))
-    algebra = build(doc["kind"], params, hs, verify=False)
+    params = _field_params(doc, "structure-constants")
+    algebra = build(doc.get("kind"), params, hs, verify=False)
     _check_header(doc, SC_FORMAT, algebra)
-    labels = [b["label"] for b in doc.get("basis", ())]
-    if labels != [b.label for b in algebra.basis]:
+    fresh = sc_document(algebra)
+    if doc.get("basis") != fresh["basis"]:
         raise SerializationError("cached basis does not match the enumeration")
-    cached = {}
-    for i, j, row in doc.get("rows", ()):
-        cached[(i, j)] = tuple((k, c) for k, c in row)
-    fresh = {ij: row for ij, row in algebra.rows_int.items() if ij[0] < ij[1]}
-    if cached != fresh:
+    if doc.get("rows") != fresh["rows"]:
         raise SerializationError("cached structure constants disagree")
     return algebra
 

@@ -1,13 +1,15 @@
 import json
 import random
+import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import TripClock, random_poly
-from cartaninv import pipeline, serialize
-from cartaninv.cli import EX_BUDGET, EX_FAIL, EX_OK, EX_USAGE, JobSpec, main, run
+from cartaninv import cli, pipeline, serialize
+from cartaninv.cli import EX_BUDGET, EX_FAIL, EX_OK, EX_USAGE, main
 from cartaninv.errors import SerializationError
 from cartaninv.symalg import SymPolynomial
 
@@ -101,6 +103,33 @@ def test_store_roundtrip(tmp_path, hbar_p3, record_p3):
     cached = serialize.load_algebra(tmp_path, "Hbar", hbar_p3.params)
     assert cached == hbar_p3
 
+
+
+def _drop_p(doc):
+    del doc["p"]
+
+
+def _m_not_list(doc):
+    doc["m"] = 1
+
+
+def _two_element_row(doc):
+    doc["rows"][0].pop()
+
+
+def _basis_entry_not_object(doc):
+    doc["basis"][0] = "u_{0,0}"
+
+
+@pytest.mark.parametrize("mangle", [_drop_p, _m_not_list, _two_element_row,
+                                    _basis_entry_not_object])
+def test_cli_malformed_sc_cache_exits_2(tmp_path, capsys, hbar_p3, mangle):
+    path = serialize.save_structure_constants(tmp_path, hbar_p3)
+    doc = json.loads(path.read_text())
+    mangle(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["basis", "--p", "3", "--store", str(tmp_path)]) == EX_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 # -- CLI -------------------------------------------------------------------------
 
@@ -232,9 +261,8 @@ def test_cli_generator_check_w(capsys):
                "--m", "1", "--var", "x^(2)d_1"])
     out = capsys.readouterr().out
     assert rc == EX_FAIL  # e_1 itself violates the eigenvalue condition
-    spec = JobSpec(command="generator-check", kind="W", p=3, n=1, m=(1,),
-                   poly_file=None, var=None)
-    assert run(spec) == EX_USAGE  # neither --var nor --poly
+    assert main(["generator-check", "--algebra", "W", "--p", "3", "--n", "1",
+                 "--m", "1"]) == EX_USAGE  # neither --var nor --poly
 
 
 def test_cli_usage_errors(capsys):
@@ -248,6 +276,48 @@ def test_cli_budget_exit(capsys):
     rc = main(["conjecture", "--p", "3", "--max-terms", "1"])
     assert rc == EX_BUDGET
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [("--max-seconds", "nan"),
+                                         ("--max-seconds", "-1"),
+                                         ("--max-terms", "-1")])
+def test_cli_budget_flags_reject_nan_and_negative(capsys, flag, value):
+    assert main(["conjecture", "--p", "5", flag, value]) == EX_USAGE
+    assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--max-terms", "--max-seconds"])
+def test_cli_zero_budget_trips_at_once(capsys, flag):
+    assert main(["conjecture", "--p", "3", flag, "0"]) == EX_BUDGET
+    assert capsys.readouterr().err.startswith("partial results: budget exhausted")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["conjecture", "--n", "4"], id="conjecture-n"),
+    pytest.param(["conjecture", "--output", "structured"], id="conjecture-output"),
+    pytest.param(["independence", "--algebra", "W", "--store", "{store}",
+                  "--labels", "Delta_2"], id="independence-algebra"),
+    pytest.param(["generator-check", "--var", "u_{1,1}", "--max-seconds", "1"],
+                 id="generator-check-max-seconds"),
+    pytest.param(["generator-check", "--poly", "{poly}", "--ring", "int"],
+                 id="generator-check-poly-ring"),
+    pytest.param(["generator-check", "--var", "u_{1,1}", "--poly", "{poly}"],
+                 id="generator-check-var-poly"),
+    pytest.param(["basis", "--ring", "int"], id="basis-ring"),
+    pytest.param(["bracket-table", "--max-terms", "5"], id="bracket-table-max-terms"),
+    pytest.param(["invariant-compute", "--algebra", "Hbar", "--power", "2"],
+                 id="invariant-compute-algebra"),
+])
+def test_cli_rejects_flags_the_command_does_not_read(tmp_path, capsys, hbar_p3,
+                                                     record_p3, argv):
+    serialize.save_record(tmp_path, record_p3)
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(serialize.poly_to_document(
+        SymPolynomial.from_label(hbar_p3, "u_{2,2}"))))
+    argv = [a.replace("{store}", str(tmp_path)).replace("{poly}", str(poly))
+            for a in argv]
+    assert main(argv) == EX_USAGE
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_conjecture_p3(capsys):
@@ -388,3 +458,39 @@ def test_store_write_failure_keeps_the_old_file(tmp_path, monkeypatch, record_p3
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+CLI_FLAGS = {
+    "basis": {"--algebra", "--p", "--n", "--m", "--output", "--store"},
+    "bracket-table": {"--algebra", "--p", "--n", "--m", "--output", "--store"},
+    "invariant-compute": {"--p", "--n", "--m", "--output", "--store", "--max-terms",
+                          "--max-seconds", "--power"},
+    "invariant-verify": set(),
+    "generator-check": {"--algebra", "--p", "--n", "--m", "--store", "--ring",
+                        "--var", "--poly"},
+    "independence": {"--p", "--n", "--m", "--store", "--max-terms", "--max-seconds",
+                     "--labels"},
+    "conjecture": {"--p", "--store", "--max-terms", "--max-seconds"},
+}
+
+
+def _readme_cli_examples():
+    """The argv of every ``cartaninv ...`` line in README's CLI code block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("cartaninv ")]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_FLAGS))
+def test_cli_flags_and_readme_examples(capsys, command):
+    """Each command's --help exits 0 and its usage lists exactly its flags; the
+    README's examples of it parse (without running)."""
+    assert main([command, "--help"]) == EX_OK
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == CLI_FLAGS[command]
+    examples = _readme_cli_examples()
+    assert {argv[0] for argv in examples} == set(CLI_FLAGS)
+    for argv in examples:
+        if argv[0] == command:
+            assert cli._parser().parse_args(argv).command == command
