@@ -16,14 +16,14 @@ Basis conventions:
     x1^a1 ... xn^an (labelled u_{a}); this factorial rescaling of the
     divided-power field D(a) is what matches the classical presentation
     [u_a, u_b] = (a1*b2 - a2*b1) u_{a+b-e1-e2} and the printed invariants.
-    For general m the basis is D(a) itself (labelled D(a)).
+    For general m the basis is D(a) itself (labelled D(a)).  The form is
+    fixed: x_{2k} pairs with x_{2k+1}.  H is Hbar without its top element.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .dividedpowers import DPPolynomial, dp_basis
 from .errors import ClosureError, NotInSpanError, ParameterError
@@ -36,45 +36,6 @@ from .modular import (
     multi_binom_int,
     validate_for_kind,
 )
-
-
-@dataclass(frozen=True)
-class HamiltonianStructure:
-    """Fixed-point-free involution pi with antisymmetric signs a_{i,pi(i)}."""
-
-    pi: tuple
-    signs: tuple
-
-    def __post_init__(self):
-        n = len(self.pi)
-        if sorted(self.pi) != list(range(n)):
-            raise ParameterError(f"pi must permute 0..{n - 1}, got {self.pi}")
-        if any(self.pi[self.pi[i]] != i for i in range(n)):
-            raise ParameterError("pi must be involutive")
-        if any(self.pi[i] == i for i in range(n)):
-            raise ParameterError("pi must have no fixed points")
-        if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
-            raise ParameterError("signs must be +-1 for every index")
-        if any(self.signs[i] + self.signs[self.pi[i]] != 0 for i in range(n)):
-            raise ParameterError("signs must satisfy a_{i,pi i} + a_{pi i,i} = 0")
-
-    @classmethod
-    def standard(cls, n: int) -> "HamiltonianStructure":
-        """pi swaps 2k and 2k+1, with a_{2k,2k+1} = +1."""
-        if n % 2 != 0:
-            raise ParameterError("Hamiltonian structure needs even n")
-        pi = []
-        signs = []
-        for k in range(0, n, 2):
-            pi += [k + 1, k]
-            signs += [1, -1]
-        return cls(tuple(pi), tuple(signs))
-
-    @property
-    def tag(self) -> str:
-        pi1 = ",".join(str(i + 1) for i in self.pi)
-        sg = ",".join("%+d" % s for s in self.signs)
-        return f"pi=({pi1});signs=({sg})"
 
 
 class Derivation:
@@ -169,11 +130,10 @@ def _derivation_vector(d: Derivation):
 class CartanAlgebra:
     """A constructed algebra: ordered basis, grading, integer constants."""
 
-    def __init__(self, kind, params, basis, rows_int, hs=None, scaled=False,
+    def __init__(self, kind, params, basis, rows_int, scaled=False,
                  h_subalgebra=None, alphas=None, verify=True):
         self.kind = kind
         self.params = params
-        self.hs = hs
         self.scaled = scaled
         self.basis = tuple(basis)
         self.dim = len(self.basis)
@@ -195,8 +155,11 @@ class CartanAlgebra:
     @property
     def sign_tag(self) -> str:
         if self.kind in ("H", "Hbar"):
+            n = self.params.n
+            pi = ",".join(str((i ^ 1) + 1) for i in range(n))
+            signs = ",".join("-1" if i % 2 else "+1" for i in range(n))
             scale = "monomial" if self.scaled else "divided"
-            return f"{self.hs.tag};basis={scale}"
+            return f"pi=({pi});signs=({signs});basis={scale}"
         return "basis=divided"
 
     def partials(self):
@@ -262,7 +225,6 @@ class CartanAlgebra:
             isinstance(other, CartanAlgebra)
             and self.kind == other.kind
             and self.params == other.params
-            and self.hs == other.hs
             and self.scaled == other.scaled
             and [b.label for b in self.basis] == [b.label for b in other.basis]
             and self.rows_int == other.rows_int
@@ -385,8 +347,12 @@ def _ham_label(alpha, scaled):
     return "u_{%s}" % body if scaled else "D(%s)" % body
 
 
-def hamiltonian_field(params, hs, alpha, scaled):
-    """The basis derivation for alpha: u_alpha (scaled) or D(alpha)."""
+def hamiltonian_field(params, alpha, scaled):
+    """The basis derivation for alpha: u_alpha (scaled) or D(alpha).
+
+    The form is the standard one: x_{2k} pairs with x_{2k+1}, and the field of
+    f is the sum of d_{2k}(f) d_{2k+1} - d_{2k+1}(f) d_{2k} over the pairs.
+    """
     p = params.p
     d = Derivation.zero(params)
     fact = 1
@@ -397,12 +363,11 @@ def hamiltonian_field(params, hs, alpha, scaled):
         if alpha[i] == 0:
             continue
         low = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        coeff = hs.signs[i]
-        d = d + Derivation.monomial(params, low, hs.pi[i], coeff)
+        d = d + Derivation.monomial(params, low, i ^ 1, -1 if i % 2 else 1)
     return d.scale(fact) if scaled else d
 
 
-def _ham_pair_coeff(a, b, i, j, sign, delta, scaled):
+def _ham_pair_coeff(a, b, i, j, delta, scaled):
     """Integer coefficient of the {i,j} pair term in [basis_a, basis_b]."""
     g = tuple(
         x + y - (1 if t in (i, j) else 0) for t, (x, y) in enumerate(zip(a, b))
@@ -421,80 +386,76 @@ def _ham_pair_coeff(a, b, i, j, sign, delta, scaled):
         c = (multi_binom_int(g, ai) if ai is not None else 0) - (
             multi_binom_int(g, aj) if aj is not None else 0
         )
-    return g, sign * c
+    return g, c
 
 
-def _build_hamiltonian(params, hs, include_top):
-    p = params.p
+def _build_hamiltonian(params):
+    """Hbar's basis, integer rows, scaling and exponents; the top element, the
+    field of delta, is the last basis element."""
     delta = delta_of(params)
     scaled = all(mi == 1 for mi in params.m)
     alphas = [a for a in dp_basis(params) if any(a)]
-    if not include_top:
-        alphas = [a for a in alphas if a != delta]
     basis = [
         BasisElement(
-            _ham_label(a, scaled), hamiltonian_field(params, hs, a, scaled), sum(a) - 2
+            _ham_label(a, scaled), hamiltonian_field(params, a, scaled), sum(a) - 2
         )
         for a in alphas
     ]
     pos = {a: i for i, a in enumerate(alphas)}
-    pairs = [(i, hs.pi[i]) for i in range(params.n) if i < hs.pi[i]]
+    pairs = [(s, s + 1) for s in range(0, params.n, 2)]
     rows = {}
     for i, a in enumerate(alphas):
         for j in range(i + 1, len(alphas)):
             b = alphas[j]
             out = {}
             for s, t in pairs:
-                g, c = _ham_pair_coeff(a, b, s, t, hs.signs[s], delta, scaled)
+                g, c = _ham_pair_coeff(a, b, s, t, delta, scaled)
                 if c:
                     out[g] = out.get(g, 0) + c
-            row = []
-            for g, c in out.items():
-                if c == 0:
-                    continue
-                if g not in pos:
-                    # only the top slot can be missing (H without D(delta));
-                    # closure mod p forces that coefficient to vanish
-                    if g != delta or c % p != 0:
-                        raise ClosureError(
-                            f"bracket escaped the basis at {a}, {b} -> {g}"
-                        )
-                    continue
-                row.append((pos[g], c))
+            row = tuple((pos[g], c) for g, c in out.items() if c)
             if row:
-                rows[(i, j)] = tuple(row)
+                rows[(i, j)] = row
                 rows[(j, i)] = tuple((k, -c) for k, c in row)
     return basis, rows, scaled, alphas
 
 
-def build_h(params: FieldParams, hs: Optional[HamiltonianStructure] = None,
-            verify: bool = True) -> CartanAlgebra:
+def _h_from_hbar(params, basis, rows, scaled, alphas, verify):
+    """H from Hbar's tables: the top element and its row entries dropped.
+
+    H is a subalgebra, so every dropped entry of an H bracket is 0 mod p.
+    """
+    p = params.p
+    top = len(basis) - 1
+    h_rows = {}
+    for (i, j), row in rows.items():
+        if top in (i, j):
+            continue
+        kept = tuple((k, c) for k, c in row if k != top)
+        if any(k == top and c % p for k, c in row):
+            raise ClosureError(
+                f"[{basis[i].label}, {basis[j].label}] has a top coefficient "
+                f"nonzero mod {p}"
+            )
+        if kept:
+            h_rows[(i, j)] = kept
+    return CartanAlgebra("H", params, basis[:-1], h_rows, scaled=scaled,
+                         alphas=alphas[:-1], verify=verify)
+
+
+def build_h(params: FieldParams, verify: bool = True) -> CartanAlgebra:
     """Hamiltonian algebra: fields of monomials for 0 < a < delta."""
     validate_for_kind(params, "H")
-    hs = hs or HamiltonianStructure.standard(params.n)
-    basis, rows, scaled, alphas = _build_hamiltonian(params, hs, include_top=False)
-    return CartanAlgebra("H", params, basis, rows, hs=hs, scaled=scaled,
-                         alphas=alphas, verify=verify)
+    return _h_from_hbar(params, *_build_hamiltonian(params), verify=verify)
 
 
-def build_hbar(params: FieldParams, hs: Optional[HamiltonianStructure] = None,
-               verify: bool = True) -> CartanAlgebra:
+def build_hbar(params: FieldParams, verify: bool = True) -> CartanAlgebra:
     """Extension of H by the top field u (the field of the monomial at delta)."""
     validate_for_kind(params, "Hbar")
-    hs = hs or HamiltonianStructure.standard(params.n)
-    basis, rows, scaled, alphas = _build_hamiltonian(params, hs, include_top=True)
-    sub = build_h(params, hs, verify=False)
-    algebra = CartanAlgebra(
-        "Hbar", params, basis, rows, hs=hs, scaled=scaled, h_subalgebra=sub,
-        alphas=alphas, verify=verify
-    )
-    if [b.label for b in algebra.basis[:-1]] != [b.label for b in sub.basis]:
-        raise ClosureError("Hbar basis is not the H basis plus the top element")
-    # Hbar's check covered every H bracket; equal mod-p rows carry it over to H
-    if verify and any(sub.row_mod(i, j) != algebra.row_mod(i, j)
-                      for i in range(sub.dim) for j in range(i + 1, sub.dim)):
-        raise ClosureError("H structure constants disagree with Hbar's")
-    return algebra
+    basis, rows, scaled, alphas = _build_hamiltonian(params)
+    # Hbar's closure check covers every H bracket, so H is not checked again
+    sub = _h_from_hbar(params, basis, rows, scaled, alphas, verify=False)
+    return CartanAlgebra("Hbar", params, basis, rows, scaled=scaled,
+                         h_subalgebra=sub, alphas=alphas, verify=verify)
 
 
 # -- S -----------------------------------------------------------------------
@@ -541,7 +502,7 @@ def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
         for i, (a, _, _, _) in enumerate(chosen):
             for j in range(i + 1, len(chosen)):
                 b = chosen[j][0]
-                g, c = _ham_pair_coeff(a, b, 0, 1, 1, delta, scaled=False)
+                g, c = _ham_pair_coeff(a, b, 0, 1, delta, scaled=False)
                 if g is None or c == 0:
                     continue
                 if g not in pos:
@@ -571,11 +532,8 @@ def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
 _BUILDERS = {"W": build_w, "S": build_s, "H": build_h, "Hbar": build_hbar}
 
 
-def build(kind: str, params: FieldParams, hs: Optional[HamiltonianStructure] = None,
-          verify: bool = True):
+def build(kind: str, params: FieldParams, verify: bool = True):
     """Dispatch on the algebra kind tag."""
     if kind not in _BUILDERS:
         raise ParameterError(f"unknown algebra kind {kind!r}")
-    if kind in ("H", "Hbar"):
-        return _BUILDERS[kind](params, hs, verify=verify)
     return _BUILDERS[kind](params, verify=verify)

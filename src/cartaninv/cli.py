@@ -149,13 +149,11 @@ def _cmd_invariant_verify(args) -> int:
 
 def _cmd_generator_check(args) -> int:
     if args.poly_file is not None and args.ring is not None:
-        print("error: --ring applies to --var only", file=sys.stderr)
-        return EX_USAGE
+        raise ParameterError("--ring applies to --var only")
     algebra = _build_algebra(args, args.algebra)
     if args.var is not None:
         if args.var not in algebra.index:
-            print(f"unknown basis label {args.var!r}", file=sys.stderr)
-            return EX_USAGE
+            raise ParameterError(f"unknown basis label {args.var!r}")
         F = SymPolynomial.from_label(algebra, args.var, args.ring or "modp")
     else:
         doc = json.loads(Path(args.poly_file).read_text())
@@ -173,16 +171,14 @@ def _cmd_generator_check(args) -> int:
 
 def _cmd_independence(args) -> int:
     if not args.store:
-        print("independence needs --store with saved records", file=sys.stderr)
-        return EX_USAGE
+        raise ParameterError("independence needs --store with saved records")
     clock = _clock(args)
     hbar = _build_algebra(args, "Hbar")
     records = []
     for label in args.labels:
         rec = _load_verified_record(args.store, hbar, label, clock)
         if rec is None:
-            print(f"no stored record for {label}", file=sys.stderr)
-            return EX_USAGE
+            raise ParameterError(f"no stored record for {label}")
         records.append(rec)
     report = independence_report(records, clock)
     _print_independence(report)

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebras import CartanAlgebra, HamiltonianStructure, build_hbar
+from .algebras import CartanAlgebra, build_hbar
 from .errors import BudgetExceededError, NotInvariantError, ParameterError
 from .gflinalg import SpanSolver
 from .modular import FieldParams, delta_of, p_valuation
@@ -398,20 +398,18 @@ class SweepReport:
     note: str = ""
 
 
-def conjecture_sweep(p: int, budget: Optional[Budget] = None,
-                     hs: Optional[HamiltonianStructure] = None,
-                     index_value: Optional[int] = None) -> SweepReport:
+def conjecture_sweep(p: int, budget: Optional[Budget] = None) -> SweepReport:
     """Run delta_star for i = 2, 4, .., 2(p-2) over Hbar_2 with m = (1, 1).
 
     The number of verified, pairwise-independent invariants is compared with
     the externally known index p - 2.  Exploratory: evidence, not proof.
     Budget exhaustion yields a partial report, not an exception.
     """
+    if p < 3:
+        raise ParameterError(f"the sweep needs an odd prime p >= 3, got p={p}")
     params = FieldParams(p, 2, (1, 1))
-    if index_value is None:
-        index_value = p - 2
     clock = _clock(budget)
-    algebra = build_hbar(params, hs)
+    algebra = build_hbar(params)
     results = []
     completed = True
     note = ""
@@ -435,12 +433,12 @@ def conjecture_sweep(p: int, budget: Optional[Budget] = None,
     count = independence.independent_count if independence else 0
     return SweepReport(
         p=p,
-        index_value=index_value,
+        index_value=p - 2,
         results=tuple(results),
         records=records,
         independence=independence,
         independent_count=count,
-        matches_index=(count == index_value and completed),
+        matches_index=(count == p - 2 and completed),
         completed=completed,
         note=note,
     )

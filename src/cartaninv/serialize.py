@@ -196,7 +196,7 @@ def sc_document(algebra: CartanAlgebra) -> dict:
     return doc
 
 
-def algebra_from_sc_document(doc, hs=None) -> CartanAlgebra:
+def algebra_from_sc_document(doc) -> CartanAlgebra:
     """Rebuild an algebra from a cached tensor, skipping bracket verification.
 
     The basis is re-enumerated deterministically; the document's basis and
@@ -209,7 +209,7 @@ def algebra_from_sc_document(doc, hs=None) -> CartanAlgebra:
     if doc.get("version") != VERSION:
         raise SerializationError("format version mismatch for structure constants")
     params = _field_params(doc, "structure-constants")
-    algebra = build(doc.get("kind"), params, hs, verify=False)
+    algebra = build(doc.get("kind"), params, verify=False)
     _check_header(doc, SC_FORMAT, algebra)
     fresh = sc_document(algebra)
     if doc.get("basis") != fresh["basis"]:
@@ -272,8 +272,8 @@ def save_structure_constants(store, algebra: CartanAlgebra) -> Path:
     return _write_atomic(path, sc_document(algebra))
 
 
-def load_algebra(store, kind, params: FieldParams, hs=None) -> CartanAlgebra | None:
+def load_algebra(store, kind, params: FieldParams) -> CartanAlgebra | None:
     path = sc_path(store, kind, params.p, params.n, params.m)
     if not path.exists():
         return None
-    return algebra_from_sc_document(json.loads(path.read_text()), hs)
+    return algebra_from_sc_document(json.loads(path.read_text()))

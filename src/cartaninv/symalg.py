@@ -72,8 +72,11 @@ class SymPolynomial:
                 mono = tuple(mono)
                 if any(e <= 0 or not 0 <= v < dim for v, e in mono):
                     raise ParameterError(f"bad monomial {mono}")
-                if list(mono) != sorted(mono, key=lambda ve: ve[0]):
-                    mono = tuple(sorted(mono, key=lambda ve: ve[0]))
+                # factors in strictly increasing basis order, each index once
+                if any(a[0] >= b[0] for a, b in zip(mono, mono[1:])):
+                    mono = tuple(sorted(mono))
+                    if any(a[0] == b[0] for a, b in zip(mono, mono[1:])):
+                        raise ParameterError(f"repeated basis index in {mono}")
                 clean[mono] = c
         self.terms = clean
 

@@ -7,7 +7,6 @@ from cartaninv import algebras
 from cartaninv.algebras import (
     CartanAlgebra,
     Derivation,
-    HamiltonianStructure,
     bracket,
     build_h,
     build_hbar,
@@ -19,19 +18,6 @@ from cartaninv.algebras import (
 from cartaninv.dividedpowers import DPPolynomial, dp_basis
 from cartaninv.errors import ClosureError, NotInSpanError, ParameterError
 from cartaninv.modular import FieldParams
-
-
-def test_hamiltonian_structure_validation():
-    hs = HamiltonianStructure.standard(2)
-    assert hs.pi == (1, 0) and hs.signs == (1, -1)
-    with pytest.raises(ParameterError):
-        HamiltonianStructure((0, 1), (1, -1))  # fixed points
-    with pytest.raises(ParameterError):
-        HamiltonianStructure((1, 2, 0), (1, -1, 1))  # not involutive
-    with pytest.raises(ParameterError):
-        HamiltonianStructure((1, 0), (1, 1))  # signs not antisymmetric
-    with pytest.raises(ParameterError):
-        HamiltonianStructure.standard(3)
 
 
 def test_kind_constraints():
@@ -251,22 +237,57 @@ def test_build_hbar_checks_closure_once(monkeypatch, params3):
     assert checked == ["Hbar", "H"]
 
 
-def test_build_hbar_rejects_a_tampered_h_row(monkeypatch, params3):
-    honest = algebras.build_h
+@pytest.mark.parametrize("p, n, m", [(3, 2, (1, 1)), (5, 2, (1, 1)), (7, 2, (1, 1)),
+                                     (3, 2, (2, 1)), (3, 4, (1, 1, 1, 1))])
+def test_h_is_hbar_without_its_top_element(p, n, m):
+    params = FieldParams(p, n, m)
+    h = build_h(params)  # with H's own closure check
+    sub = build_hbar(params, verify=False).h_subalgebra
+    assert h == sub
+    assert h.rows_int == sub.rows_int
+    assert h.grades == sub.grades and h.alphas == sub.alphas
 
-    def tampered(params, hs=None, verify=True):
-        sub = honest(params, hs, verify=verify)
-        p = params.p
-        (i, j), row = next((ij, row) for ij, row in sorted(sub.rows_int.items())
-                           if ij[0] < ij[1] and any(c % p for _, c in row))
-        sub.rows_int[(i, j)] = tuple((k, 2 * c) for k, c in row)
-        sub.rows_int[(j, i)] = tuple((k, -2 * c) for k, c in row)
-        sub._mod_rows.clear()
-        return sub
 
-    monkeypatch.setattr(algebras, "build_h", tampered)
-    with pytest.raises(ClosureError):
-        build_hbar(params3)
+def test_build_hbar_builds_the_tables_once(monkeypatch, params3):
+    calls = []
+    honest = algebras._build_hamiltonian
+
+    def counted(params):
+        calls.append(params)
+        return honest(params)
+
+    monkeypatch.setattr(algebras, "_build_hamiltonian", counted)
+    hbar = build_hbar(params3)
+    assert calls == [params3]
+    # H's rows are taken from Hbar's, not compared with them
+    assert hbar.h_subalgebra._mod_rows == {}
+
+
+@pytest.mark.parametrize("top_coeff, rejected", [
+    pytest.param(1, True, id="nonzero"), pytest.param(3, False, id="zero-mod-p")])
+def test_top_coefficient_on_an_h_pair_must_vanish_mod_p(monkeypatch, params3,
+                                                        top_coeff, rejected):
+    honest = algebras._build_hamiltonian
+
+    def tampered(params):
+        basis, rows, scaled, alphas = honest(params)
+        top = len(basis) - 1
+        i, j = next(ij for ij, row in sorted(rows.items())
+                    if top not in ij and all(k != top for k, _ in row))
+        rows = dict(rows)
+        rows[(i, j)] += ((top, top_coeff),)
+        rows[(j, i)] += ((top, -top_coeff),)
+        return basis, rows, scaled, alphas
+
+    want = build_h(params3, verify=False)
+    monkeypatch.setattr(algebras, "_build_hamiltonian", tampered)
+    for builder in (build_h, build_hbar):
+        if rejected:
+            with pytest.raises(ClosureError, match="top coefficient"):
+                builder(params3)
+        else:
+            built = builder(params3)
+            assert (built if builder is build_h else built.h_subalgebra) == want
 
 
 def test_equality_and_cache_roundtrip(hbar_p3):

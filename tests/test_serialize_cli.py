@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -325,6 +326,43 @@ def test_cli_conjecture_p3(capsys):
     out = capsys.readouterr().out
     assert rc == EX_OK
     assert "independent invariants: 1" in out and "match: yes" in out
+
+
+def test_cli_conjecture_needs_an_odd_prime(capsys):
+    assert main(["conjecture", "--p", "2"]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["generator-check", "--var", "nope"], id="unknown-label"),
+    pytest.param(["independence", "--store", "{store}", "--labels", "Delta_8"],
+                 id="no-stored-record"),
+    pytest.param(["independence", "--labels", "Delta_2"], id="no-store"),
+])
+def test_cli_usage_exits_print_through_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv(serialize.STORE_ENV, raising=False)
+    argv = [a.replace("{store}", str(tmp_path)) for a in argv]
+    assert main(argv) == EX_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# SHA-256 of the structured tables, frozen: the Hamiltonian construction
+# must keep H and Hbar byte for byte beyond n = 2, m = (1, 1)
+@pytest.mark.parametrize("algebra, n, m, sha", [
+    ("H", "4", "1,1,1,1",
+     "c3dda3a39d0685c40d594887b898d87a0771147f689e7cb60bb2a72020821ef2"),
+    ("Hbar", "4", "1,1,1,1",
+     "faec0ce6d4b3647449682823c0a6d288a78ec3e36adbd1fbe722ac5c8c4838c3"),
+    ("H", "2", "2,1",
+     "39f67344b962393f21a0dfee29be523595710d6fd1bcc28d835d2bda4e23f91c"),
+    ("Hbar", "2", "2,1",
+     "4263c59df80603cfdfd1041d75efbc3f80190cd4381d88d170724e039be85ac8"),
+])
+def test_cli_hamiltonian_bracket_tables_pinned(capsys, algebra, n, m, sha):
+    assert main(["bracket-table", "--algebra", algebra, "--p", "3", "--n", n,
+                 "--m", m, "--output", "structured"]) == EX_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
 
 def test_cli_basis_and_bracket_table(capsys, tmp_path):

@@ -41,6 +41,16 @@ def test_mismatch_errors(hbar_p3, hbar_p5):
         F + SymPolynomial.one(hbar_p3.h_subalgebra)
 
 
+def test_monomial_factors_are_sorted_and_distinct(hbar_p3):
+    # out-of-order factors are sorted, as before
+    F = SymPolynomial(hbar_p3, "modp", {((3, 1), (0, 2)): 1})
+    assert F.terms == {((0, 2), (3, 1)): 1}
+    # u_0 * u_0 written as two factors is u_0^2: rejected, not kept apart
+    for mono in (((0, 1), (0, 1)), ((3, 1), (0, 1), (0, 2))):
+        with pytest.raises(ParameterError, match="repeated basis index"):
+            SymPolynomial(hbar_p3, "modp", {mono: 1})
+
+
 def test_ad_examples(w1_p3):
     const = SymPolynomial.one(w1_p3)
     d = w1_p3.index["x^(0)d_1"]
