@@ -55,12 +55,12 @@ class _StoredRecordFailed(Exception):
 
 
 def _load_verified_record(store, hbar, label, clock=None):
-    """The stored record for ``label`` after ``verify(clock)``, or None if
-    absent."""
+    """The stored record for ``label`` after ``verify(hbar, clock)``, or None
+    if absent."""
     record = serialize.load_record(store, hbar, label)
     if record is not None:
         try:
-            record.verify(clock)
+            record.verify(hbar, clock)
         except ValueError as exc:
             raise _StoredRecordFailed(
                 f"stored record failed verification: {exc}") from exc
@@ -139,7 +139,7 @@ def _cmd_invariant_verify(args) -> int:
     hbar = build("Hbar", serialize.record_params(doc))
     record = serialize.document_to_record(doc, hbar)
     try:
-        record.verify()
+        record.verify(hbar)
     except ValueError as exc:
         print(f"{record.term_count} terms, invariant: no ({exc})")
         return EX_FAIL

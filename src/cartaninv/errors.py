@@ -9,15 +9,6 @@ class NotInSpanError(ValueError):
     """A derivation could not be expressed in an algebra basis."""
 
 
-class NotInvariantError(ValueError):
-    """A polynomial failed the invariance check; ``witness`` is the
-    ``(basis index, nonzero ad image)`` pair that ``is_invariant`` reported."""
-
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
-
-
 class ClosureError(RuntimeError):
     """Internal consistency failure: a bracket left the stored basis span."""
 

@@ -56,11 +56,14 @@ class FieldParams:
 
 
 def validate_for_kind(params: FieldParams, kind: str) -> None:
-    """Kind-specific constraints: S needs n >= 2, H and Hbar need n even."""
+    """Kind-specific constraints: S needs n >= 2, H and Hbar need n even and
+    an odd prime (the symplectic form's signs +1 and -1 coincide mod 2)."""
     if kind == "S" and params.n < 2:
         raise ParameterError("S requires n >= 2")
     if kind in ("H", "Hbar") and params.n % 2 != 0:
         raise ParameterError(f"{kind} requires even n, got n={params.n}")
+    if kind in ("H", "Hbar") and params.p < 3:
+        raise ParameterError(f"{kind} requires an odd prime p, got p={params.p}")
 
 
 def delta_of(params: FieldParams) -> MultiIndex:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebras import CartanAlgebra, build_hbar
-from .errors import BudgetExceededError, NotInvariantError, ParameterError
+from .errors import BudgetExceededError, ParameterError
 from .gflinalg import SpanSolver
 from .modular import FieldParams, delta_of, p_valuation
 from .symalg import SymPolynomial, d_delta, is_invariant
@@ -141,37 +141,34 @@ class InvariantRecord:
     term_count: int
     p_power_m: int
 
-    def verify(self, budget=None) -> None:
-        """Re-check the record laws; raises on any violation.
+    def verify(self, hbar: CartanAlgebra, budget=None) -> None:
+        """Re-derive the record with ``delta_star`` over ``hbar`` and compare
+        every field; raises ValueError on any difference.
 
-        Recomputes the term count, the lambda value, invariance and the
-        generator image, and checks that the label names the power.  The
-        p-power exponent is not recomputed.  A failed invariance check raises
-        NotInvariantError with the witness; every other violation raises
-        ValueError.  ``budget`` bounds the invariance check and the
-        d^(delta) of the generator.
+        The stored invariant is proven invariant by equalling the fresh one,
+        which passed delta_star's invariance check.  ``budget`` bounds the
+        re-derivation.
         """
-        if self.power % 2 or self.label not in (
-                f"Delta_{self.power}", f"Delta_{self.power}_star"):
-            raise ValueError(f"{self.label}: label does not match the even "
-                             f"power {self.power}")
-        if self.term_count != len(self.invariant):
+        fresh = delta_star(self.power, hbar, budget)
+        if fresh.status != "ok":
+            raise ValueError(f"{self.label}: power {self.power} derives no "
+                             f"record ({fresh.status}: {fresh.detail})")
+        want = fresh.record
+        if self.label != want.label:
+            raise ValueError(f"{self.label}: label does not match the derived "
+                             f"{want.label}")
+        if self.term_count != want.term_count:
             raise ValueError(f"{self.label}: stored term count is wrong")
-        lam = lambda_homogeneity(self.invariant)
-        if self.lambda_value != lam:
+        if self.lambda_value != want.lambda_value:
             raise ValueError(f"{self.label}: stored lambda {self.lambda_value} "
-                             f"!= computed {lam}")
-        clock = _clock(budget)
-        rep = is_invariant(self.invariant, clock)
-        if not rep.is_invariant:
-            idx, img = rep.witness
-            lbl = self.invariant.algebra.basis[idx].label
-            raise NotInvariantError(
-                f"{self.label}: not invariant, ad({lbl}) = {img!r}", rep.witness)
-        img = d_delta(self.generator, clock)
-        if self.generator.algebra.kind == "Hbar":
-            img = img.with_algebra(self.invariant.algebra)
-        if img != self.invariant:
+                             f"!= computed {want.lambda_value}")
+        if self.p_power_m != want.p_power_m:
+            raise ValueError(f"{self.label}: stored p_power_m {self.p_power_m} "
+                             f"!= computed {want.p_power_m}")
+        if self.generator != want.generator:
+            raise ValueError(f"{self.label}: generator != the derived generator")
+        # the generators agree, so the fresh invariant is d^(delta)(generator)
+        if self.invariant != want.invariant:
             raise ValueError(f"{self.label}: invariant != d^(delta)(generator)")
 
 
@@ -224,6 +221,13 @@ def delta_star(power: int, algebra: CartanAlgebra, budget=None) -> DeltaStarResu
                 power, label, "zero",
                 detail=f"d^(delta) of the phi-image vanishes (m = {m})")
 
+    rep = is_invariant(invariant, clock)
+    if not rep.is_invariant:
+        idx, _ = rep.witness
+        return DeltaStarResult(
+            power, label, "not-invariant", witness=rep.witness,
+            detail=f"ad({invariant.algebra.basis[idx].label}) does not vanish "
+                   f"(phi removed p^{m})")
     record = InvariantRecord(
         label=label,
         power=power,
@@ -233,14 +237,6 @@ def delta_star(power: int, algebra: CartanAlgebra, budget=None) -> DeltaStarResu
         term_count=len(invariant),
         p_power_m=m,
     )
-    try:
-        record.verify(clock)
-    except NotInvariantError as exc:
-        idx, _ = exc.witness
-        return DeltaStarResult(
-            power, label, "not-invariant", witness=exc.witness,
-            detail=f"ad({invariant.algebra.basis[idx].label}) does not vanish "
-                   f"(phi removed p^{m})")
     return DeltaStarResult(power, label, "ok", record=record)
 
 
@@ -405,8 +401,6 @@ def conjecture_sweep(p: int, budget: Optional[Budget] = None) -> SweepReport:
     the externally known index p - 2.  Exploratory: evidence, not proof.
     Budget exhaustion yields a partial report, not an exception.
     """
-    if p < 3:
-        raise ParameterError(f"the sweep needs an odd prime p >= 3, got p={p}")
     params = FieldParams(p, 2, (1, 1))
     clock = _clock(budget)
     algebra = build_hbar(params)

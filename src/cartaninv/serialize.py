@@ -44,14 +44,23 @@ def _header(algebra: CartanAlgebra, fmt: str) -> dict:
     }
 
 
-def _check_header(doc, fmt: str, algebra: CartanAlgebra | None = None) -> None:
+def _is_int(x) -> bool:
+    """A JSON integer: ``true`` parses to a bool, which Python counts as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_format(doc, fmt: str) -> None:
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise SerializationError(f"expected a {fmt} document")
-    if doc.get("version") != VERSION:
-        raise SerializationError(
-            f"format version mismatch: {doc.get('version')} != {VERSION}"
-        )
+    version = doc.get("version")
+    if not _is_int(version) or version != VERSION:
+        raise SerializationError(f"format version mismatch: {version!r} != {VERSION}")
+
+
+def _check_header(doc, fmt: str, algebra: CartanAlgebra | None = None) -> None:
+    _check_format(doc, fmt)
     if algebra is not None:
+        _check_field_ints(doc, fmt)
         want = _header(algebra, fmt)
         for key in ("kind", "p", "n", "m", "sign_convention"):
             if doc.get(key) != want[key]:
@@ -100,14 +109,14 @@ def document_to_poly(doc, algebra: CartanAlgebra) -> SymPolynomial:
             label, e = pair
             if not isinstance(label, str) or label not in algebra.index:
                 raise SerializationError(f"unknown basis label {label!r}")
-            if not isinstance(e, int) or e <= 0:
+            if not _is_int(e) or e <= 0:
                 raise SerializationError(f"bad exponent {e!r} for {label}")
             mono.append((algebra.index[label], e))
         mono.sort()
         if len({v for v, _ in mono}) != len(mono):
             raise SerializationError("duplicate factor in a monomial")
         c = entry.get("coefficient")
-        if not isinstance(c, int) or c == 0:
+        if not _is_int(c) or c == 0:
             raise SerializationError(f"bad coefficient {c!r}")
         key = tuple(mono)
         if key in terms:
@@ -137,22 +146,28 @@ _RECORD_FIELDS = (("generator", dict), ("invariant", dict), ("label", str),
 
 
 def _check_record_shape(doc) -> None:
-    if not isinstance(doc, dict) or doc.get("format") != RECORD_FORMAT:
-        raise SerializationError(f"expected a {RECORD_FORMAT} document")
-    if doc.get("version") != VERSION:
-        raise SerializationError("format version mismatch for invariant record")
+    _check_format(doc, RECORD_FORMAT)
     for key, kind in _RECORD_FIELDS:
-        if not isinstance(doc.get(key), kind):
+        value = doc.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise SerializationError(
                 f"invariant record field {key} is missing or not a {kind.__name__}")
+    lam = doc.get("lambda_value")
+    if lam is not None and not _is_int(lam):
+        raise SerializationError("invariant record field lambda_value is not an "
+                                 "int or null")
+
+
+def _check_field_ints(doc, what: str) -> None:
+    p, n, m = doc.get("p"), doc.get("n"), doc.get("m")
+    if not (_is_int(p) and _is_int(n) and isinstance(m, list)
+            and all(_is_int(x) for x in m)):
+        raise SerializationError(f"{what} document needs integer p, n and m")
 
 
 def _field_params(doc, what: str) -> FieldParams:
-    p, n, m = doc.get("p"), doc.get("n"), doc.get("m")
-    if not (isinstance(p, int) and isinstance(n, int) and isinstance(m, list)
-            and all(isinstance(x, int) for x in m)):
-        raise SerializationError(f"{what} document needs integer p, n and m")
-    return FieldParams(p, n, tuple(m))
+    _check_field_ints(doc, what)
+    return FieldParams(doc["p"], doc["n"], tuple(doc["m"]))
 
 
 def record_params(doc) -> FieldParams:
@@ -204,10 +219,7 @@ def algebra_from_sc_document(doc) -> CartanAlgebra:
     which is the cheap consistency check replacing the full derivation-level
     verification.  Any other shape of document fails that comparison.
     """
-    if not isinstance(doc, dict) or doc.get("format") != SC_FORMAT:
-        raise SerializationError(f"expected a {SC_FORMAT} document")
-    if doc.get("version") != VERSION:
-        raise SerializationError("format version mismatch for structure constants")
+    _check_format(doc, SC_FORMAT)
     params = _field_params(doc, "structure-constants")
     algebra = build(doc.get("kind"), params, verify=False)
     _check_header(doc, SC_FORMAT, algebra)

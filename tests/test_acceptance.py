@@ -272,12 +272,13 @@ def test_criterion_9_p7_exploration(sweep_p7):
     # completes within budget or reports partial results without raising
     assert report.results
     produced = list(report.records)
+    hbar = build_hbar(FieldParams(7, 2, (1, 1)), verify=False)
     for rec in produced:
         inv = rec.invariant
         h = inv.algebra
         witnesses = [b for b in range(h.dim) if ad_action(b, inv)]
         assert witnesses == [], f"{rec.label} fails invariance at p=7"
-        rec.verify()
+        rec.verify(hbar)
     statuses = {r.label: r.status for r in report.results}
     note = f"records {sorted(statuses.items())}"
     if report.completed:

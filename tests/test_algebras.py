@@ -25,6 +25,17 @@ def test_kind_constraints():
         build_s(FieldParams(3, 1, (1,)))
     with pytest.raises(ParameterError):
         build_h(FieldParams(3, 3, (1, 1, 1)))
+    for builder in (build_h, build_hbar):
+        with pytest.raises(ParameterError, match="odd prime"):
+            builder(FieldParams(2, 2, (1, 1)))
+
+
+def test_w_and_s_build_at_p2():
+    # only the Hamiltonian kinds need an odd prime
+    assert build_w(FieldParams(2, 1, (1,))).dim == 2
+    assert build_w(FieldParams(2, 2, (1, 1))).dim == 8
+    assert build_s(FieldParams(2, 2, (1, 1))).dim == 3
+    assert build_s(FieldParams(2, 2, (2, 1))).dim == 7
 
 
 def test_w1_structure(w1_p3):

@@ -1,10 +1,12 @@
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
 from conftest import TripClock, load_fixture, random_poly
-from cartaninv.errors import BudgetExceededError, NotInvariantError, ParameterError
+from cartaninv import pipeline
+from cartaninv.errors import BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of
 from cartaninv.pipeline import (
     Budget,
@@ -115,11 +117,11 @@ def test_delta_star_p5(hbar_p5, results_p5):
         "Delta_2", "Delta_4_star", "Delta_6_star"]
 
 
-def test_record_laws(results_p5):
+def test_record_laws(hbar_p5, results_p5):
     delta = (4, 4)
     for r in results_p5.values():
         rec = r.record
-        rec.verify()  # invariance + generator image + term count
+        rec.verify(hbar_p5)  # re-derives the record and compares every field
         assert is_invariant(rec.invariant).is_invariant
         gen_lam = lambda_homogeneity(rec.generator)
         assert rec.lambda_value == gen_lam + sum(delta)
@@ -251,14 +253,14 @@ def test_budget_trips_inside_is_invariant(hbar_p5):
     probe = InvarianceProbe()
     assert delta_star(4, hbar_p5, probe).status == "ok"
     inside = [k + 1 for k, hit in enumerate(probe.inside) if hit]
-    # one invariance check, the one record.verify makes
+    # one invariance check, the one delta_star makes
     assert len(inside) == len(hbar_p5.h_subalgebra.lie_generators())
     for trip in inside:
         with pytest.raises(BudgetExceededError) as exc:
             delta_star(4, hbar_p5, TripClock(trip))
         names = [entry.name for entry in exc.traceback]
         assert "is_invariant" in names
-        assert names[names.index("is_invariant") - 1] == "verify"
+        assert names[names.index("is_invariant") - 1] == "delta_star"
 
 
 def test_independence_report_checkpoints(results_p5):
@@ -282,17 +284,30 @@ def test_sweep_budget_trip_in_the_rank_test(sweep_p5_checkpoints):
     assert report.note.startswith("budget exhausted in the independence test")
 
 
-def test_verify_raises_not_invariant_with_witness(hbar_p3):
-    h = hbar_p3.h_subalgebra
-    square = SymPolynomial.from_label(h, "u_{1,1}") ** 2
-    u = SymPolynomial.from_label(hbar_p3, "u_{2,2}")
-    record = InvariantRecord("Delta_2", 2, square, u ** 2,
-                             lambda_homogeneity(square), 1, 0)
-    with pytest.raises(NotInvariantError) as exc:
-        record.verify()
-    assert isinstance(exc.value, ValueError)
-    assert exc.value.witness == is_invariant(square).witness
-    assert str(exc.value).startswith("Delta_2: not invariant, ad(u_{0,1}) = ")
+def test_verify_rejects_a_non_invariant_record(hbar_p3, record_p3):
+    # one coefficient changed: same terms and lambda, no longer invariant
+    (mono, c), *rest = record_p3.invariant.terms.items()
+    broken = SymPolynomial(record_p3.invariant.algebra, "modp",
+                           {mono: 3 - c, **dict(rest)})
+    assert not is_invariant(broken).is_invariant
+    record = replace(record_p3, invariant=broken)
+    with pytest.raises(ValueError, match=r"^Delta_2: invariant != d\^\(delta\)"):
+        record.verify(hbar_p3)
+
+
+@pytest.mark.parametrize("power, calls", [(2, 1), (4, 2)])
+def test_delta_star_runs_d_delta_once_on_its_generator(monkeypatch, hbar_p5,
+                                                       power, calls):
+    # Delta_2 keeps u^2 as generator, so compute_delta's pass is the only one
+    seen = []
+
+    def counting(*args):
+        seen.append(args[0])
+        return d_delta(*args)
+
+    monkeypatch.setattr(pipeline, "d_delta", counting)
+    assert delta_star(power, hbar_p5).status == "ok"
+    assert len(seen) == calls
 
 
 def test_delta_series_divisible_by_u(hbar_p5):

@@ -3,7 +3,7 @@ import json
 import random
 import re
 import shlex
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -80,7 +80,7 @@ def test_record_roundtrip(hbar_p3, record_p3):
     assert back.invariant == record_p3.invariant
     assert back.generator == record_p3.generator
     assert back.label == record_p3.label and back.power == 2
-    back.verify()
+    back.verify(hbar_p3)
 
 
 def test_sc_roundtrip(w1_p3, hbar_p3, s2_p3):
@@ -189,6 +189,33 @@ def test_cli_verify_rejects_tampered_record(tmp_path, capsys, results_p5, key, v
     assert "invariant: no" in capsys.readouterr().out
 
 
+# one tamper per InvariantRecord field, each leaving a well-formed document
+TAMPERS = {
+    "label": lambda rec: "Delta_4",
+    "power": lambda rec: 2,
+    # still invariant, but not d^(delta) of the generator
+    "invariant": lambda rec: rec.invariant.scale(2),
+    # d^(delta)(u_{0,1}^4) = 0, so the image of the generator is unchanged
+    "generator": lambda rec: rec.generator + SymPolynomial.from_label(
+        rec.generator.algebra, "u_{0,1}") ** 4,
+    "lambda_value": lambda rec: rec.lambda_value + 1,
+    "term_count": lambda rec: rec.term_count + 1,
+    "p_power_m": lambda rec: 3,
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(pipeline.InvariantRecord)])
+def test_cli_verify_rejects_a_tamper_of_every_field(tmp_path, capsys, results_p5,
+                                                    field):
+    record = results_p5[4].record
+    tampered = replace(record, **{field: TAMPERS[field](record)})
+    assert getattr(tampered, field) != getattr(record, field)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(serialize.record_to_document(tampered)))
+    assert main(["invariant-verify", str(path)]) == EX_FAIL
+    assert "invariant: no" in capsys.readouterr().out
+
+
 def _drop_generator(doc):
     del doc["generator"]
     return doc
@@ -199,11 +226,11 @@ def _drop_invariant_p(doc):
     return doc
 
 
-def _set_invariant(path, value):
-    """A mangle that puts ``value`` at the key ``path`` in the invariant."""
+def _set(path, value):
+    """A mangle that puts ``value`` at the key ``path`` in the record."""
 
     def mangle(doc):
-        node = doc["invariant"]
+        node = doc
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
@@ -213,17 +240,32 @@ def _set_invariant(path, value):
 
 
 MALFORMED_TERMS = [
-    pytest.param(_set_invariant(("terms", 0), [1]), id="term_not_object"),
-    pytest.param(_set_invariant(("terms", 0, "monomial"), 5), id="monomial_not_list"),
-    pytest.param(_set_invariant(("terms", 0, "monomial", 0, 0), ["u_{1,1}"]),
+    pytest.param(_set(("invariant", "terms", 0), [1]), id="term_not_object"),
+    pytest.param(_set(("invariant", "terms", 0, "monomial"), 5),
+                 id="monomial_not_list"),
+    pytest.param(_set(("invariant", "terms", 0, "monomial", 0, 0), ["u_{1,1}"]),
                  id="label_is_list"),
-    pytest.param(_set_invariant(("terms",), 5), id="terms_not_list"),
+    pytest.param(_set(("invariant", "terms"), 5), id="terms_not_list"),
+]
+
+# JSON true parses to a bool, which Python also counts as the int 1
+BOOLEANS = [
+    pytest.param(_set(("invariant", "terms", 0, "monomial", 0, 1), True),
+                 id="exponent_true"),
+    pytest.param(_set(("invariant", "terms", 0, "coefficient"), True),
+                 id="coefficient_true"),
+    *(pytest.param(_set((key,), True), id=f"{key}_true")
+      for key in ("power", "term_count", "p_power_m", "lambda_value", "version")),
+    pytest.param(_set(("invariant", "p"), True), id="p_true"),
+    pytest.param(_set(("invariant", "n"), True), id="n_true"),
+    pytest.param(_set(("invariant", "m"), [True, True]), id="m_true"),
+    pytest.param(_set(("generator", "m"), [True, True]), id="generator_m_true"),
 ]
 
 
 @pytest.mark.parametrize("mangle", [_drop_generator, _drop_invariant_p,
                                     lambda doc: [doc], lambda doc: "record"]
-                         + MALFORMED_TERMS)
+                         + MALFORMED_TERMS + BOOLEANS)
 def test_cli_verify_malformed_record_exits_2(tmp_path, capsys, record_p3, mangle):
     doc = mangle(serialize.record_to_document(record_p3))
     path = tmp_path / "malformed.json"
@@ -339,6 +381,10 @@ def test_cli_conjecture_needs_an_odd_prime(capsys):
     pytest.param(["independence", "--store", "{store}", "--labels", "Delta_8"],
                  id="no-stored-record"),
     pytest.param(["independence", "--labels", "Delta_2"], id="no-store"),
+    pytest.param(["basis", "--p", "2"], id="hbar-p2"),
+    pytest.param(["basis", "--algebra", "H", "--p", "2"], id="h-p2"),
+    pytest.param(["generator-check", "--p", "2", "--var", "u_{1,1}"],
+                 id="generator-check-p2"),
 ])
 def test_cli_usage_exits_print_through_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.delenv(serialize.STORE_ENV, raising=False)
