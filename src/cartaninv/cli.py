@@ -15,23 +15,17 @@ from pathlib import Path
 from . import serialize
 from .algebras import build
 from .errors import (
+    Budget,
     BudgetExceededError,
     NotInSpanError,
     ParameterError,
     SerializationError,
 )
 from .modular import FieldParams
-from .pipeline import Budget, conjecture_sweep, delta_star, independence_report
+from .pipeline import conjecture_sweep, delta_star, independence_report
 from .symalg import SymPolynomial, check_generator_sh, check_generator_w
 
 EX_OK, EX_FAIL, EX_USAGE, EX_BUDGET = 0, 1, 2, 3
-
-
-def _clock(args):
-    """A started clock for the job's budget flags, or None when unlimited."""
-    if args.max_terms is None and args.max_seconds is None:
-        return None
-    return Budget(max_terms=args.max_terms, max_seconds=args.max_seconds).start()
 
 
 def _build_algebra(args, kind):
@@ -54,13 +48,13 @@ class _StoredRecordFailed(Exception):
     """A stored record failed verification; ``main`` exits 1 with its message."""
 
 
-def _load_verified_record(store, hbar, label, clock=None):
-    """The stored record for ``label`` after ``verify(hbar, clock)``, or None
+def _load_verified_record(store, hbar, label, budget):
+    """The stored record for ``label`` after ``verify(hbar, budget)``, or None
     if absent."""
     record = serialize.load_record(store, hbar, label)
     if record is not None:
         try:
-            record.verify(hbar, clock)
+            record.verify(hbar, budget)
         except ValueError as exc:
             raise _StoredRecordFailed(
                 f"stored record failed verification: {exc}") from exc
@@ -100,15 +94,15 @@ def _cmd_bracket_table(args) -> int:
 
 
 def _cmd_invariant_compute(args) -> int:
-    clock = _clock(args)
+    budget = Budget(args.max_terms, args.max_seconds)
     algebra = _build_algebra(args, "Hbar")
     if args.store:
         for label in (f"Delta_{args.power}", f"Delta_{args.power}_star"):
-            stored = _load_verified_record(args.store, algebra, label, clock)
+            stored = _load_verified_record(args.store, algebra, label, budget)
             if stored is not None:
                 _output_record(args, stored, "verified against store")
                 return EX_OK
-    result = delta_star(args.power, algebra, clock)
+    result = delta_star(args.power, algebra, budget)
     if result.status == "zero":
         print(f"{result.label}: trivial ({result.detail})")
         return EX_OK
@@ -172,15 +166,15 @@ def _cmd_generator_check(args) -> int:
 def _cmd_independence(args) -> int:
     if not args.store:
         raise ParameterError("independence needs --store with saved records")
-    clock = _clock(args)
+    budget = Budget(args.max_terms, args.max_seconds)
     hbar = _build_algebra(args, "Hbar")
     records = []
     for label in args.labels:
-        rec = _load_verified_record(args.store, hbar, label, clock)
+        rec = _load_verified_record(args.store, hbar, label, budget)
         if rec is None:
             raise ParameterError(f"no stored record for {label}")
         records.append(rec)
-    report = independence_report(records, clock)
+    report = independence_report(records, budget)
     _print_independence(report)
     return EX_OK if report.all_independent else EX_FAIL
 
@@ -200,7 +194,7 @@ def _print_independence(report) -> None:
 
 
 def _cmd_conjecture(args) -> int:
-    report = conjecture_sweep(args.p, budget=_clock(args))
+    report = conjecture_sweep(args.p, Budget(args.max_terms, args.max_seconds))
     for res in report.results:
         if res.status == "ok":
             rec = res.record

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget that raises one."""
+
+import time
+from typing import Optional
 
 
 class ParameterError(ValueError):
@@ -18,12 +21,32 @@ class SerializationError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A computation hit its term-count or wall-clock budget.
+    """A computation hit its term-count or wall-clock budget."""
 
-    ``partial`` carries whatever intermediate object was available when the
-    budget tripped; it is best-effort diagnostics, not a usable result.
+
+class Budget:
+    """One job's resource limits (None = unlimited).
+
+    The wall clock starts when the budget is made, so each job makes its own.
     """
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    def __init__(self, max_terms: Optional[int] = None,
+                 max_seconds: Optional[float] = None):
+        self.max_terms = max_terms
+        self.deadline = (
+            None if max_seconds is None else time.monotonic() + max_seconds
+        )
+
+    def charge(self, nterms: int) -> None:
+        if self.max_terms is not None and nterms > self.max_terms:
+            raise BudgetExceededError(
+                f"term budget exceeded: {nterms} > {self.max_terms}"
+            )
+        self.checkpoint()
+
+    def checkpoint(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceededError("time budget exceeded")
+
+
+UNLIMITED = Budget()

@@ -7,59 +7,20 @@ dividing a coefficient gcd by p^m is only well defined on the integral lift.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebras import CartanAlgebra, build_hbar
-from .errors import BudgetExceededError, ParameterError
+from .errors import UNLIMITED, Budget, BudgetExceededError, ParameterError
 from .gflinalg import SpanSolver
 from .modular import FieldParams, delta_of, p_valuation
 from .symalg import SymPolynomial, d_delta, is_invariant
 
 
-# -- budgets -------------------------------------------------------------------
-
-@dataclass
-class Budget:
-    """Resource limits for open-ended computations (None = unlimited)."""
-
-    max_terms: Optional[int] = None
-    max_seconds: Optional[float] = None
-
-    def start(self) -> "BudgetClock":
-        return BudgetClock(self)
-
-
-class BudgetClock:
-    def __init__(self, budget: Budget):
-        self.max_terms = budget.max_terms
-        self.deadline = (
-            None if budget.max_seconds is None
-            else time.monotonic() + budget.max_seconds
-        )
-
-    def charge(self, nterms: int) -> None:
-        if self.max_terms is not None and nterms > self.max_terms:
-            raise BudgetExceededError(
-                f"term budget exceeded: {nterms} > {self.max_terms}"
-            )
-        self.checkpoint()
-
-    def checkpoint(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceededError("time budget exceeded")
-
-
-def _clock(budget):
-    if budget is None:
-        return None
-    return budget.start() if isinstance(budget, Budget) else budget
-
-
 # -- the Delta series ------------------------------------------------------------
 
-def compute_delta(power: int, algebra: CartanAlgebra, budget=None) -> SymPolynomial:
+def compute_delta(power: int, algebra: CartanAlgebra,
+                  budget: Budget = UNLIMITED) -> SymPolynomial:
     """d^(delta)(u^power) over the integers, u the top basis element of Hbar.
 
     Invariance holds for any power (the top power annihilates under the
@@ -70,7 +31,7 @@ def compute_delta(power: int, algebra: CartanAlgebra, budget=None) -> SymPolynom
     if power < 2:
         raise ParameterError(f"power out of range: {power} < 2")
     u = SymPolynomial.variable(algebra, algebra.dim - 1, "int")
-    return d_delta(u ** power, _clock(budget))
+    return d_delta(u ** power, budget)
 
 
 def restrict_u_zero(F: SymPolynomial) -> SymPolynomial:
@@ -112,11 +73,6 @@ def lambda_of_variable(algebra: CartanAlgebra, idx: int) -> int:
     return sum(delta_of(algebra.params)) - sum(algebra.alphas[idx])
 
 
-def lambda_value(algebra: CartanAlgebra, mono) -> int:
-    """Additive lambda weight of an exponent multiset."""
-    return sum(e * lambda_of_variable(algebra, v) for v, e in mono)
-
-
 def lambda_homogeneity(F: SymPolynomial) -> Optional[int]:
     """The common lambda of all monomials, or None when mixed."""
     if not F.terms:
@@ -141,7 +97,7 @@ class InvariantRecord:
     term_count: int
     p_power_m: int
 
-    def verify(self, hbar: CartanAlgebra, budget=None) -> None:
+    def verify(self, hbar: CartanAlgebra, budget: Budget = UNLIMITED) -> None:
         """Re-derive the record with ``delta_star`` over ``hbar`` and compare
         every field; raises ValueError on any difference.
 
@@ -184,7 +140,8 @@ class DeltaStarResult:
     detail: str = ""
 
 
-def delta_star(power: int, algebra: CartanAlgebra, budget=None) -> DeltaStarResult:
+def delta_star(power: int, algebra: CartanAlgebra,
+               budget: Budget = UNLIMITED) -> DeltaStarResult:
     """Full pipeline for one power: Delta_i over Z, restrict, phi, d^(delta).
 
     When Delta_i is already free of u (the power-2 case) it is itself the
@@ -196,8 +153,7 @@ def delta_star(power: int, algebra: CartanAlgebra, budget=None) -> DeltaStarResu
     p = algebra.params.p
     if power < 2 or power > 2 * (p - 2) or power % 2:
         raise ParameterError(f"power must be even in [2, {2 * (p - 2)}], got {power}")
-    clock = _clock(budget)
-    full = compute_delta(power, algebra, clock)
+    full = compute_delta(power, algebra, budget)
     restricted = restrict_u_zero(full)
 
     if len(restricted) == len(full):
@@ -215,13 +171,13 @@ def delta_star(power: int, algebra: CartanAlgebra, budget=None) -> DeltaStarResu
             return DeltaStarResult(power, label, "zero",
                                    detail="restriction at u = 0 vanishes over Z")
         generator, m = phi_normalize(restricted)
-        invariant = d_delta(generator, clock)
+        invariant = d_delta(generator, budget)
         if invariant.is_zero():
             return DeltaStarResult(
                 power, label, "zero",
                 detail=f"d^(delta) of the phi-image vanishes (m = {m})")
 
-    rep = is_invariant(invariant, clock)
+    rep = is_invariant(invariant, budget)
     if not rep.is_invariant:
         idx, _ = rep.witness
         return DeltaStarResult(
@@ -296,7 +252,7 @@ def _product_expr(exps, records):
     )
 
 
-def independence_report(records, budget=None) -> IndependenceReport:
+def independence_report(records, budget: Budget = UNLIMITED) -> IndependenceReport:
     """The stepwise independence evidence: each record against all earlier ones.
 
     A record is declared independent of its predecessors either vacuously (no
@@ -316,12 +272,6 @@ def independence_report(records, budget=None) -> IndependenceReport:
         if r.lambda_value is None:
             raise ParameterError(f"{r.label} is not lambda-homogeneous")
     p = alg.params.p
-    clock = _clock(budget)
-
-    def checkpoint():
-        if clock is not None:
-            clock.checkpoint()
-
     entries = []
     all_ok = True
     for k, rec in enumerate(records):
@@ -349,7 +299,7 @@ def independence_report(records, budget=None) -> IndependenceReport:
             # rank test against the lambda-matching candidate products
             products = []
             for exps in matching:
-                checkpoint()
+                budget.checkpoint()
                 prod = SymPolynomial.one(alg, "modp")
                 for e, r in zip(exps, earlier):
                     if e:
@@ -357,7 +307,7 @@ def independence_report(records, budget=None) -> IndependenceReport:
                 products.append(prod)
             solver = SpanSolver(p)
             for f in products:
-                checkpoint()
+                budget.checkpoint()
                 solver.insert(f.terms)
             combo = solver.solve(rec.invariant.terms)
             if combo is None:
@@ -394,7 +344,7 @@ class SweepReport:
     note: str = ""
 
 
-def conjecture_sweep(p: int, budget: Optional[Budget] = None) -> SweepReport:
+def conjecture_sweep(p: int, budget: Budget = UNLIMITED) -> SweepReport:
     """Run delta_star for i = 2, 4, .., 2(p-2) over Hbar_2 with m = (1, 1).
 
     The number of verified, pairwise-independent invariants is compared with
@@ -402,16 +352,14 @@ def conjecture_sweep(p: int, budget: Optional[Budget] = None) -> SweepReport:
     Budget exhaustion yields a partial report, not an exception.
     """
     params = FieldParams(p, 2, (1, 1))
-    clock = _clock(budget)
     algebra = build_hbar(params)
     results = []
     completed = True
     note = ""
     for power in range(2, 2 * (p - 2) + 1, 2):
         try:
-            if clock is not None:
-                clock.checkpoint()
-            results.append(delta_star(power, algebra, clock))
+            budget.checkpoint()
+            results.append(delta_star(power, algebra, budget))
         except BudgetExceededError as exc:
             completed = False
             note = f"budget exhausted at power {power}: {exc}"
@@ -420,7 +368,7 @@ def conjecture_sweep(p: int, budget: Optional[Budget] = None) -> SweepReport:
     independence = None
     if records:
         try:
-            independence = independence_report(records, clock)
+            independence = independence_report(records, budget)
         except BudgetExceededError as exc:
             completed = False
             note = note or f"budget exhausted in the independence test: {exc}"

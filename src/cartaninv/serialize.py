@@ -57,17 +57,16 @@ def _check_format(doc, fmt: str) -> None:
         raise SerializationError(f"format version mismatch: {version!r} != {VERSION}")
 
 
-def _check_header(doc, fmt: str, algebra: CartanAlgebra | None = None) -> None:
+def _check_header(doc, fmt: str, algebra: CartanAlgebra) -> None:
     _check_format(doc, fmt)
-    if algebra is not None:
-        _check_field_ints(doc, fmt)
-        want = _header(algebra, fmt)
-        for key in ("kind", "p", "n", "m", "sign_convention"):
-            if doc.get(key) != want[key]:
-                raise SerializationError(
-                    f"document {key}={doc.get(key)!r} does not match "
-                    f"the algebra ({want[key]!r})"
-                )
+    _check_field_ints(doc, fmt)
+    want = _header(algebra, fmt)
+    for key in ("kind", "p", "n", "m", "sign_convention"):
+        if doc.get(key) != want[key]:
+            raise SerializationError(
+                f"document {key}={doc.get(key)!r} does not match "
+                f"the algebra ({want[key]!r})"
+            )
 
 
 # -- polynomials ----------------------------------------------------------------
@@ -211,17 +210,17 @@ def sc_document(algebra: CartanAlgebra) -> dict:
     return doc
 
 
-def algebra_from_sc_document(doc) -> CartanAlgebra:
-    """Rebuild an algebra from a cached tensor, skipping bracket verification.
+def algebra_from_sc_document(doc, kind, params: FieldParams) -> CartanAlgebra:
+    """The algebra of ``kind`` and ``params`` from its cached tensor, skipping
+    bracket verification.
 
-    The basis is re-enumerated deterministically; the document's basis and
-    rows must equal those rendered from the freshly computed closed forms,
-    which is the cheap consistency check replacing the full derivation-level
-    verification.  Any other shape of document fails that comparison.
+    The requested algebra is built from its closed forms; the document must
+    name that kind and those parameters, and its basis and rows must equal
+    the freshly rendered ones, which is the cheap consistency check replacing
+    the full derivation-level verification.  Any other document, whatever
+    algebra it describes, fails those comparisons.
     """
-    _check_format(doc, SC_FORMAT)
-    params = _field_params(doc, "structure-constants")
-    algebra = build(doc.get("kind"), params, verify=False)
+    algebra = build(kind, params, verify=False)
     _check_header(doc, SC_FORMAT, algebra)
     fresh = sc_document(algebra)
     if doc.get("basis") != fresh["basis"]:
@@ -288,4 +287,4 @@ def load_algebra(store, kind, params: FieldParams) -> CartanAlgebra | None:
     path = sc_path(store, kind, params.p, params.n, params.m)
     if not path.exists():
         return None
-    return algebra_from_sc_document(json.loads(path.read_text()))
+    return algebra_from_sc_document(json.loads(path.read_text()), kind, params)

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .algebras import CartanAlgebra, Derivation, bracket, decompose
 from .dividedpowers import dp_basis
-from .errors import BudgetExceededError, ParameterError
+from .errors import UNLIMITED, Budget, ParameterError
 from .modular import delta_of, multi_binom_int
 
 RINGS = ("int", "modp")
@@ -322,7 +322,7 @@ def ad_partial(F: SymPolynomial, axis: int) -> SymPolynomial:
     return _ad_index(F, idx, sign)
 
 
-def d_gamma(F: SymPolynomial, gamma, budget=None) -> SymPolynomial:
+def d_gamma(F: SymPolynomial, gamma, budget: Budget = UNLIMITED) -> SymPolynomial:
     """Iterated operator ad(d_1)^g1 ... ad(d_n)^gn applied to F.
 
     The passes chain on packed keys; ``budget.charge`` sees the term count
@@ -336,15 +336,14 @@ def d_gamma(F: SymPolynomial, gamma, budget=None) -> SymPolynomial:
         idx, sign = F.algebra.partial_coords[axis]
         for _ in range(g):
             terms = _ad_pass(F, idx, sign, width, packed)
-            if budget is not None:
-                budget.charge(len(terms))
+            budget.charge(len(terms))
             if not terms:
                 return F._bare({})
             packed = ((m, c, _unpack(m, width)) for m, c in terms.items())
     return _from_packed(F, terms, width)
 
 
-def d_delta(F: SymPolynomial, budget=None) -> SymPolynomial:
+def d_delta(F: SymPolynomial, budget: Budget = UNLIMITED) -> SymPolynomial:
     """The composite operator with gamma = delta; kills p-th powers' factors
     one step at a time and is independent of the factor order."""
     return d_gamma(F, delta_of(F.algebra.params), budget)
@@ -360,7 +359,7 @@ class InvarianceReport:
     witness: Optional[tuple] = None  # (basis index, nonzero ad image)
 
 
-def is_invariant(F: SymPolynomial, budget=None) -> InvarianceReport:
+def is_invariant(F: SymPolynomial, budget: Budget = UNLIMITED) -> InvarianceReport:
     """Check ad(b)(F) = 0 for every basis element b of F's algebra.
 
     The witness is the first basis index, in basis order, whose image is
@@ -368,8 +367,8 @@ def is_invariant(F: SymPolynomial, budget=None) -> InvarianceReport:
     only the algebra's Lie generators are checked; when generator g fails,
     the indices below g that are not generators are scanned for an earlier
     witness.  The integer ring keeps the full scan, because the integral lifts
-    of the structure constants need not satisfy Jacobi over Z.  ``budget`` is
-    a clock whose ``checkpoint()`` runs before each ad pass.
+    of the structure constants need not satisfy Jacobi over Z.
+    ``budget.checkpoint()`` runs before each ad pass.
     """
 
     alg = F.algebra
@@ -377,8 +376,7 @@ def is_invariant(F: SymPolynomial, budget=None) -> InvarianceReport:
     packed = _pack_terms(F, width)
 
     def ad(idx):
-        if budget is not None:
-            budget.checkpoint()
+        budget.checkpoint()
         return _from_packed(F, _ad_pass(F, idx, 1, width, packed), width)
 
     checked = alg.lie_generators() if F.ring == "modp" else range(alg.dim)

@@ -23,6 +23,7 @@ from cartaninv.pipeline import (
     Budget,
     compute_delta,
     conjecture_sweep,
+    delta_star,
     independence_report,
     phi_normalize,
     restrict_u_zero,
@@ -265,6 +266,19 @@ def test_criterion_8_lambda_and_independence(results_p5):
     )
     assert report.independent_count == 3
     print("\nACCEPTANCE 8 PASS: lambda values and independence as published")
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_criterion_8_relation_at_every_prime(p):
+    # the refutation of criterion 8 is uniform: Delta_4_star = 6*Delta_2^2
+    # mod p at every prime tested (6 = 1 at p = 5)
+    hbar = build_hbar(FieldParams(p, 2, (1, 1)), verify=False)
+    records = [delta_star(i, hbar).record for i in (2, 4)]
+    assert [r.label for r in records] == ["Delta_2", "Delta_4_star"]
+    entry = independence_report(records).entries[1]
+    assert entry.decision == "dependent"
+    assert entry.dependency == {"Delta_2^2": 6 % p}
+    print(f"\nACCEPTANCE 8b PASS: p={p} Delta_4_star = {6 % p}*Delta_2^2")
 
 
 def test_criterion_9_p7_exploration(sweep_p7):

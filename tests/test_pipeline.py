@@ -1,12 +1,13 @@
 import random
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import TripClock, load_fixture, random_poly
-from cartaninv import pipeline
-from cartaninv.errors import BudgetExceededError, ParameterError
+from cartaninv import errors, pipeline
+from cartaninv.errors import UNLIMITED, BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of
 from cartaninv.pipeline import (
     Budget,
@@ -17,7 +18,6 @@ from cartaninv.pipeline import (
     independence_report,
     lambda_homogeneity,
     lambda_of_variable,
-    lambda_value,
     phi_normalize,
     restrict_u_zero,
 )
@@ -134,7 +134,7 @@ def test_record_laws(hbar_p5, results_p5):
 def test_lambda_values(hbar_p5, results_p5):
     assert lambda_of_variable(hbar_p5, hbar_p5.index["u_{4,4}"]) == 0
     assert lambda_of_variable(hbar_p5, hbar_p5.index["u_{2,3}"]) == 3
-    assert lambda_value(hbar_p5, ((hbar_p5.index["u_{2,3}"], 2),)) == 6
+    assert lambda_homogeneity(SymPolynomial.from_label(hbar_p5, "u_{2,3}") ** 2) == 6
     lams = {i: r.record.lambda_value for i, r in results_p5.items()}
     assert lams == {2: 8, 4: 16, 6: 16}
 
@@ -229,9 +229,25 @@ def test_conjecture_sweep_budget():
 
 
 def test_budget_clock_time():
-    clock = Budget(max_seconds=0.0).start()
     with pytest.raises(BudgetExceededError):
-        clock.checkpoint()
+        Budget(max_seconds=0.0).checkpoint()
+
+
+def test_budget_clock_starts_when_made(monkeypatch):
+    now = [100.0]
+    monkeypatch.setattr(errors.time, "monotonic", lambda: now[0])
+    budget = Budget(max_seconds=5.0)
+    now[0] = 105.0
+    budget.checkpoint()  # at the deadline, not past it
+    now[0] = 105.5
+    with pytest.raises(BudgetExceededError, match="time budget exceeded"):
+        budget.charge(1)
+    Budget(max_seconds=5.0).checkpoint()  # made now: a deadline of its own
+
+
+def test_unlimited_budget_never_trips():
+    UNLIMITED.charge(10**12)
+    UNLIMITED.checkpoint()
 
 
 class InvarianceProbe(TripClock):
@@ -318,3 +334,12 @@ def test_delta_series_divisible_by_u(hbar_p5):
     u_idx = hbar_p5.dim - 1
     dropped = set(D4.terms) - set(R4.terms)
     assert dropped and all(any(v == u_idx for v, _ in m) for m in dropped)
+
+
+def test_readme_library_tour(capsys):
+    """The README's "Library tour" block runs as printed."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("\n## Library tour\n", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines()[0] == "708"

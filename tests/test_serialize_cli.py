@@ -11,7 +11,7 @@ import pytest
 from conftest import TripClock, random_poly
 from cartaninv import cli, pipeline, serialize
 from cartaninv.cli import EX_BUDGET, EX_FAIL, EX_OK, EX_USAGE, main
-from cartaninv.errors import SerializationError
+from cartaninv.errors import Budget, SerializationError
 from cartaninv.symalg import SymPolynomial
 
 
@@ -86,12 +86,12 @@ def test_record_roundtrip(hbar_p3, record_p3):
 def test_sc_roundtrip(w1_p3, hbar_p3, s2_p3):
     for alg in (w1_p3, hbar_p3, s2_p3):
         doc = serialize.sc_document(alg)
-        rebuilt = serialize.algebra_from_sc_document(doc)
+        rebuilt = serialize.algebra_from_sc_document(doc, alg.kind, alg.params)
         assert rebuilt == alg
     doc = serialize.sc_document(w1_p3)
     doc["rows"][0][2] = [[1, 1]]
     with pytest.raises(SerializationError):
-        serialize.algebra_from_sc_document(doc)
+        serialize.algebra_from_sc_document(doc, "W", w1_p3.params)
 
 
 def test_store_roundtrip(tmp_path, hbar_p3, record_p3):
@@ -122,14 +122,27 @@ def _basis_entry_not_object(doc):
     doc["basis"][0] = "u_{0,0}"
 
 
+def _filed_as_p5(doc):
+    """The intact p = 3 document under the p = 5 file name."""
+    return "Hbar", 5
+
+
+def _filed_as_h(doc):
+    """The intact Hbar document under the H file name."""
+    return "H", 3
+
+
 @pytest.mark.parametrize("mangle", [_drop_p, _m_not_list, _two_element_row,
-                                    _basis_entry_not_object])
+                                    _basis_entry_not_object, _filed_as_p5,
+                                    _filed_as_h])
 def test_cli_malformed_sc_cache_exits_2(tmp_path, capsys, hbar_p3, mangle):
+    # a mangler returns the (kind, p) the document is filed under, if not its own
     path = serialize.save_structure_constants(tmp_path, hbar_p3)
     doc = json.loads(path.read_text())
-    mangle(doc)
-    path.write_text(json.dumps(doc))
-    assert main(["basis", "--p", "3", "--store", str(tmp_path)]) == EX_USAGE
+    kind, p = mangle(doc) or ("Hbar", 3)
+    serialize.sc_path(tmp_path, kind, p, 2, (1, 1)).write_text(json.dumps(doc))
+    argv = ["basis", "--algebra", kind, "--p", str(p), "--store", str(tmp_path)]
+    assert main(argv) == EX_USAGE
     assert capsys.readouterr().err.startswith("error: ")
 
 # -- CLI -------------------------------------------------------------------------
@@ -479,10 +492,20 @@ def test_cli_unreadable_input_file_exits_2(tmp_path, capsys, argv, unreadable):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _budget_factory(trip):
+    """A stand-in for ``cli.Budget``: a ``TripClock(trip)`` when a budget flag
+    is set, a real unlimited budget otherwise."""
+    def make(max_terms=None, max_seconds=None):
+        if max_terms is None and max_seconds is None:
+            return Budget()
+        return TripClock(trip)
+    return make
+
+
 @pytest.fixture
 def trip_first_checkpoint(monkeypatch):
-    """Every budget the CLI starts trips on its first checkpoint."""
-    monkeypatch.setattr(pipeline.Budget, "start", lambda self: TripClock(trip=1))
+    """Every budget the CLI makes from a flag trips on its first checkpoint."""
+    monkeypatch.setattr(cli, "Budget", _budget_factory(trip=1))
 
 
 def test_cli_store_hit_honours_the_budget(tmp_path, capsys, results_p5,
@@ -506,8 +529,7 @@ def test_cli_independence_honours_the_budget(tmp_path, capsys, results_p5,
 
 def test_cli_conjecture_budget_trip_in_the_rank_test(capsys, monkeypatch,
                                                      sweep_p5_checkpoints):
-    monkeypatch.setattr(pipeline.Budget, "start",
-                        lambda self: TripClock(trip=sweep_p5_checkpoints))
+    monkeypatch.setattr(cli, "Budget", _budget_factory(trip=sweep_p5_checkpoints))
     assert main(["conjecture", "--p", "5", "--max-seconds", "60"]) == EX_BUDGET
     out, err = capsys.readouterr()
     assert [line.split(":")[0] for line in out.splitlines()[:3]] == [
