@@ -9,8 +9,11 @@ is re-verified derivation-by-derivation during construction.
 
 Basis conventions:
   * W: monomial derivations x^(a) d_i, grade |a| - 1.
-  * S: an independent subset of D_{i,j}(a) = d_i(x^(a)) d_j - d_j(x^(a)) d_i,
-    selected by row reduction in (a, i, j) order, grade |a| - 2.
+  * S: fields D_{i,j}(a) = d_i(x^(a)) d_j - d_j(x^(a)) d_i, grade |a| - 2.
+    For n = 2, D_{1,2}(a) is the divided Hamiltonian field D(a), so S_2 is
+    Hbar_2's divided table, top element included, under S labels.  For
+    n >= 3 the basis is an independent subset selected by row reduction in
+    (a, i, j) order.
   * H / Hbar: Hamiltonian fields of monomials, grade |a| - 2.  When every
     m_i = 1 the basis element for a is the field of the ordinary monomial
     x1^a1 ... xn^an (labelled u_{a}); this factorial rescaling of the
@@ -130,11 +133,10 @@ def _derivation_vector(d: Derivation):
 class CartanAlgebra:
     """A constructed algebra: ordered basis, grading, integer constants."""
 
-    def __init__(self, kind, params, basis, rows_int, scaled=False,
-                 h_subalgebra=None, alphas=None, verify=True):
+    def __init__(self, kind, params, basis, rows_int, h_subalgebra=None,
+                 verify=True):
         self.kind = kind
         self.params = params
-        self.scaled = scaled
         self.basis = tuple(basis)
         self.dim = len(self.basis)
         self.index = {b.label: i for i, b in enumerate(self.basis)}
@@ -142,7 +144,6 @@ class CartanAlgebra:
         self.grades = tuple(b.grade for b in self.basis)
         self.r = max(self.grades)
         self.h_subalgebra = h_subalgebra
-        self.alphas = tuple(alphas) if alphas is not None else None
         self._mod_rows = {}
         self._solver = None
         self._generators = None
@@ -158,7 +159,7 @@ class CartanAlgebra:
             n = self.params.n
             pi = ",".join(str((i ^ 1) + 1) for i in range(n))
             signs = ",".join("-1" if i % 2 else "+1" for i in range(n))
-            scale = "monomial" if self.scaled else "divided"
+            scale = "monomial" if _scaled(self.params) else "divided"
             return f"pi=({pi});signs=({signs});basis={scale}"
         return "basis=divided"
 
@@ -225,7 +226,6 @@ class CartanAlgebra:
             isinstance(other, CartanAlgebra)
             and self.kind == other.kind
             and self.params == other.params
-            and self.scaled == other.scaled
             and [b.label for b in self.basis] == [b.label for b in other.basis]
             and self.rows_int == other.rows_int
         )
@@ -342,6 +342,11 @@ def build_w(params: FieldParams, verify: bool = True) -> CartanAlgebra:
 
 # -- H and Hbar --------------------------------------------------------------
 
+def _scaled(params):
+    """Whether H and Hbar take the monomial basis u_a: when every m_i = 1."""
+    return all(mi == 1 for mi in params.m)
+
+
 def _ham_label(alpha, scaled):
     body = ",".join(map(str, alpha))
     return "u_{%s}" % body if scaled else "D(%s)" % body
@@ -389,11 +394,10 @@ def _ham_pair_coeff(a, b, i, j, delta, scaled):
     return g, c
 
 
-def _build_hamiltonian(params):
-    """Hbar's basis, integer rows, scaling and exponents; the top element, the
-    field of delta, is the last basis element."""
+def _build_hamiltonian(params, scaled):
+    """Hbar's basis and integer rows, in the monomial (``scaled``) or divided
+    basis; the top element, the field of delta, is the last basis element."""
     delta = delta_of(params)
-    scaled = all(mi == 1 for mi in params.m)
     alphas = [a for a in dp_basis(params) if any(a)]
     basis = [
         BasisElement(
@@ -416,10 +420,10 @@ def _build_hamiltonian(params):
             if row:
                 rows[(i, j)] = row
                 rows[(j, i)] = tuple((k, -c) for k, c in row)
-    return basis, rows, scaled, alphas
+    return basis, rows
 
 
-def _h_from_hbar(params, basis, rows, scaled, alphas, verify):
+def _h_from_hbar(params, basis, rows, verify):
     """H from Hbar's tables: the top element and its row entries dropped.
 
     H is a subalgebra, so every dropped entry of an H bracket is 0 mod p.
@@ -438,24 +442,24 @@ def _h_from_hbar(params, basis, rows, scaled, alphas, verify):
             )
         if kept:
             h_rows[(i, j)] = kept
-    return CartanAlgebra("H", params, basis[:-1], h_rows, scaled=scaled,
-                         alphas=alphas[:-1], verify=verify)
+    return CartanAlgebra("H", params, basis[:-1], h_rows, verify=verify)
 
 
 def build_h(params: FieldParams, verify: bool = True) -> CartanAlgebra:
     """Hamiltonian algebra: fields of monomials for 0 < a < delta."""
     validate_for_kind(params, "H")
-    return _h_from_hbar(params, *_build_hamiltonian(params), verify=verify)
+    return _h_from_hbar(params, *_build_hamiltonian(params, _scaled(params)),
+                        verify=verify)
 
 
 def build_hbar(params: FieldParams, verify: bool = True) -> CartanAlgebra:
     """Extension of H by the top field u (the field of the monomial at delta)."""
     validate_for_kind(params, "Hbar")
-    basis, rows, scaled, alphas = _build_hamiltonian(params)
+    basis, rows = _build_hamiltonian(params, _scaled(params))
     # Hbar's closure check covers every H bracket, so H is not checked again
-    sub = _h_from_hbar(params, basis, rows, scaled, alphas, verify=False)
-    return CartanAlgebra("Hbar", params, basis, rows, scaled=scaled,
-                         h_subalgebra=sub, alphas=alphas, verify=verify)
+    sub = _h_from_hbar(params, basis, rows, verify=False)
+    return CartanAlgebra("Hbar", params, basis, rows, h_subalgebra=sub,
+                         verify=verify)
 
 
 # -- S -----------------------------------------------------------------------
@@ -478,8 +482,15 @@ def _s_field(params, alpha, i, j):
 def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
     """Special algebra: span of D_{i,j}(a), basis chosen in (a, i, j) order."""
     validate_for_kind(params, "S")
+    if params.n == 2:
+        # D_{1,2}(a) is the divided Hamiltonian field D(a): Hbar_2's table,
+        # relabelled from D(a) to D_{1,2}(a)
+        basis, rows = _build_hamiltonian(params, scaled=False)
+        basis = [b._replace(label="D_{1,2}" + b.label[1:]) for b in basis]
+        return CartanAlgebra("S", params, basis, rows, verify=verify)
+    # n >= 3: no closed integral form is used; decompose the honest bracket
+    # over F_p and store least non-negative residues
     p = params.p
-    delta = delta_of(params)
     solver = SpanSolver(p)
     chosen = []
     for alpha in dp_basis(params):
@@ -495,23 +506,6 @@ def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
     basis = [
         BasisElement(_s_label(a, i, j), d, sum(a) - 2) for a, i, j, d in chosen
     ]
-    if params.n == 2:
-        # D_{1,2}(a) is the divided Hamiltonian field of a: Poisson closed form
-        pos = {a: k for k, (a, _, _, _) in enumerate(chosen)}
-        rows = {}
-        for i, (a, _, _, _) in enumerate(chosen):
-            for j in range(i + 1, len(chosen)):
-                b = chosen[j][0]
-                g, c = _ham_pair_coeff(a, b, 0, 1, delta, scaled=False)
-                if g is None or c == 0:
-                    continue
-                if g not in pos:
-                    raise ClosureError(f"S bracket escaped the basis at {a}, {b}")
-                rows[(i, j)] = ((pos[g], c),)
-                rows[(j, i)] = ((pos[g], -c),)
-        return CartanAlgebra("S", params, basis, rows, verify=verify)
-    # n >= 3: no closed integral form is used; decompose the honest bracket
-    # over F_p and store least non-negative residues
     basis_solver = SpanSolver(p)
     for b in basis:
         basis_solver.insert(_derivation_vector(b.derivation))

@@ -1,4 +1,4 @@
-"""Prime-field scalars, Lucas binomials and bounded multi-index arithmetic.
+"""Prime-field scalars, binomials mod p and bounded multi-index arithmetic.
 
 Multi-indices are plain tuples of non-negative ints.  Every index that refers
 to a truncated algebra is bounded componentwise by delta_i = p^{m_i} - 1.
@@ -71,30 +71,6 @@ def delta_of(params: FieldParams) -> MultiIndex:
     return tuple(params.p ** mi - 1 for mi in params.m)
 
 
-def binom_lucas(a: int, b: int, p: int) -> int:
-    """C(a, b) mod p via base-p digits; 0 when b > a or b < 0."""
-    if b < 0 or b > a:
-        return 0
-    r = 1
-    while b > 0 and r != 0:
-        r = r * math.comb(a % p, b % p) % p
-        a //= p
-        b //= p
-    return r
-
-
-def multi_binom(alpha: MultiIndex, beta: MultiIndex, p: int) -> int:
-    """Componentwise product of binom_lucas values mod p."""
-    if len(alpha) != len(beta):
-        raise ValueError("multi-index length mismatch")
-    r = 1
-    for a, b in zip(alpha, beta):
-        r = r * binom_lucas(a, b, p) % p
-        if r == 0:
-            return 0
-    return r
-
-
 def multi_binom_int(alpha: MultiIndex, beta: MultiIndex) -> int:
     """Exact integer product of componentwise binomials (the Z-lift)."""
     r = 1
@@ -103,6 +79,13 @@ def multi_binom_int(alpha: MultiIndex, beta: MultiIndex) -> int:
             return 0
         r *= math.comb(a, b)
     return r
+
+
+def multi_binom(alpha: MultiIndex, beta: MultiIndex, p: int) -> int:
+    """Componentwise binomial product mod p: the exact product reduced."""
+    if len(alpha) != len(beta):
+        raise ValueError("multi-index length mismatch")
+    return multi_binom_int(alpha, beta) % p
 
 
 def mi_add(alpha: MultiIndex, beta: MultiIndex, delta: MultiIndex):

@@ -63,14 +63,15 @@ def phi_normalize(F: SymPolynomial):
 # -- lambda grading ---------------------------------------------------------------
 
 def lambda_of_variable(algebra: CartanAlgebra, idx: int) -> int:
-    """lambda of a basis variable: |delta| - |alpha| for the slot of alpha.
+    """lambda of a basis variable: |delta| - |alpha| for the slot of alpha,
+    read from its grade |alpha| - 2.
 
     The variable for alpha is (a scalar multiple of) the |delta - alpha|-fold
     derivative of u, and each derivative step raises lambda by one.
     """
     if algebra.kind not in ("H", "Hbar"):
         raise ParameterError("lambda grading lives on Hamiltonian algebras")
-    return sum(delta_of(algebra.params)) - sum(algebra.alphas[idx])
+    return sum(delta_of(algebra.params)) - 2 - algebra.grades[idx]
 
 
 def lambda_homogeneity(F: SymPolynomial) -> Optional[int]:

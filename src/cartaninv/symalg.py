@@ -222,8 +222,10 @@ def render_text(F: SymPolynomial) -> str:
         facs = [
             F.algebra.basis[v].label + (f"^{e}" if e > 1 else "") for v, e in mono
         ]
-        body = "*".join(facs) if facs else "1"
-        if c == 1 and facs:
+        body = "*".join(facs)
+        if not facs:
+            piece = str(c)
+        elif c == 1:
             piece = body
         elif c < 0:
             piece = f"-{-c}*{body}"

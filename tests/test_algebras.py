@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from cartaninv.algebras import (
 from cartaninv.dividedpowers import DPPolynomial, dp_basis
 from cartaninv.errors import ClosureError, NotInSpanError, ParameterError
 from cartaninv.modular import FieldParams
+from cartaninv.pipeline import lambda_of_variable
+from cartaninv.serialize import dumps_canonical, sc_document
 
 
 def test_kind_constraints():
@@ -220,7 +223,7 @@ def test_filtration(hbar_p3):
 def test_divided_basis_for_general_m():
     alg = build_h(FieldParams(3, 2, (1, 2)))
     assert alg.dim == 27 - 2
-    assert not alg.scaled
+    assert "basis=divided" in alg.sign_tag
     assert alg.basis[0].label == "D(0,1)"
     assert alg.r == max(alg.grades)
 
@@ -256,16 +259,18 @@ def test_h_is_hbar_without_its_top_element(p, n, m):
     sub = build_hbar(params, verify=False).h_subalgebra
     assert h == sub
     assert h.rows_int == sub.rows_int
-    assert h.grades == sub.grades and h.alphas == sub.alphas
+    assert h.grades == sub.grades
+    assert ([lambda_of_variable(h, i) for i in range(h.dim)]
+            == [lambda_of_variable(sub, i) for i in range(sub.dim)])
 
 
 def test_build_hbar_builds_the_tables_once(monkeypatch, params3):
     calls = []
     honest = algebras._build_hamiltonian
 
-    def counted(params):
+    def counted(params, scaled):
         calls.append(params)
-        return honest(params)
+        return honest(params, scaled)
 
     monkeypatch.setattr(algebras, "_build_hamiltonian", counted)
     hbar = build_hbar(params3)
@@ -280,15 +285,15 @@ def test_top_coefficient_on_an_h_pair_must_vanish_mod_p(monkeypatch, params3,
                                                         top_coeff, rejected):
     honest = algebras._build_hamiltonian
 
-    def tampered(params):
-        basis, rows, scaled, alphas = honest(params)
+    def tampered(params, scaled):
+        basis, rows = honest(params, scaled)
         top = len(basis) - 1
         i, j = next(ij for ij, row in sorted(rows.items())
                     if top not in ij and all(k != top for k, _ in row))
         rows = dict(rows)
         rows[(i, j)] += ((top, top_coeff),)
         rows[(j, i)] += ((top, -top_coeff),)
-        return basis, rows, scaled, alphas
+        return basis, rows
 
     want = build_h(params3, verify=False)
     monkeypatch.setattr(algebras, "_build_hamiltonian", tampered)
@@ -381,3 +386,50 @@ def test_lie_generators_lazy_and_cached(monkeypatch):
     made = len(calls)
     assert made >= 1
     assert alg.lie_generators() is first and len(calls) == made
+
+
+@pytest.mark.parametrize("p, m", [(2, (1, 1)), (3, (2, 1)), (5, (1, 1))])
+def test_s2_is_the_divided_hamiltonian_table(p, m):
+    params = FieldParams(p, 2, m)
+    s = build_s(params)  # with S's own closure check
+    _, rows = algebras._build_hamiltonian(params, scaled=False)
+    assert s.rows_int == rows
+    alphas = [a for a in dp_basis(params) if any(a)]  # the top element included
+    assert [b.label for b in s.basis] == [
+        "D_{1,2}(%s)" % ",".join(map(str, a)) for a in alphas]
+    for b, a in zip(s.basis, alphas):
+        # the special field D_{1,2}(a) = d_1(x^(a)) d_2 - d_2(x^(a)) d_1
+        f = DPPolynomial.monomial(params, a)
+        want = Derivation(params, [-f.partial(1), f.partial(0)])
+        assert b.derivation == want
+        assert b.grade == sum(a) - 2
+
+
+# SHA-256 of dumps_canonical(sc_document(...)), frozen: each kind's table stays
+# byte for byte whatever builds it
+@pytest.mark.parametrize("kind, p, m, sha", [
+    ("W", 2, (1,), "12305c67e2a78cbbf94fdbbd02ef5c812c7959e6761ec9a295f151bb0220b843"),
+    ("W", 3, (2,), "6f6686f0fac652ce742268f44be0844a89ddfa6c228ca4005395ad444422b670"),
+    ("W", 3, (1, 1), "12da691535921dbc3e611b66b8662fc5c0f5856f914147c68e7d01d9d2f4e6b2"),
+    ("S", 2, (1, 1), "5f160e9e7437bf4cb8272e7dd42274c9336271f298adb8ff8ceb61f7911cd2b4"),
+    ("S", 2, (2, 1), "06211b77186e1bb8f46ae6481c5e137fe2d231a684c7b6cebf732f77d97ebb32"),
+    ("S", 3, (1, 1), "5f84d5ccb684dcec7c1b8f7c724e04b1495afaf42342f2b82a8029fea5bd9085"),
+    ("S", 3, (2, 1), "7c9f468f184f3c990deedf5d314008bdce785be3c48f36a3cc16fecf7fd8dda7"),
+    ("S", 5, (1, 1), "3e12596973b0931941b984757a300b40e386e9f35127c7607bf9146e195462ae"),
+    ("S", 3, (1, 1, 1), "5c0c090b92b140a7f4585224016e217ca427cfb0381ff61c08ed41631a41eba3"),
+    ("H", 3, (1, 1), "23dbcf24aee44fa4f5a4f432c0a0cf602a409ecb4ee8a280eb0c84bf74788965"),
+    ("H", 5, (1, 1), "525a7f316c04f015aed389717764539e610efbb2efc1c36d0c160af251b97566"),
+    ("H", 3, (2, 1), "39f67344b962393f21a0dfee29be523595710d6fd1bcc28d835d2bda4e23f91c"),
+    ("H", 3, (1, 1, 1, 1),
+     "c3dda3a39d0685c40d594887b898d87a0771147f689e7cb60bb2a72020821ef2"),
+    ("Hbar", 3, (1, 1), "1f7419c975072cdc9a3747450d40f88536ce869113f8c9f06d10227510fa23b6"),
+    ("Hbar", 5, (1, 1), "b56052fdf57ea67cd873a2dbbb409137dd439cc2349a65cce5eead0bb09e584b"),
+    ("Hbar", 7, (1, 1), "c115597d0635297452f2d6abf5760352731c1b2dfb5473ca2afbdb5bf8a7796e"),
+    ("Hbar", 3, (1, 2), "7f17c70c4c5f6057a3875d8cfb25d8836220cb3c162b5e0bef22581c3de03d4f"),
+    ("Hbar", 3, (1, 1, 1, 1),
+     "faec0ce6d4b3647449682823c0a6d288a78ec3e36adbd1fbe722ac5c8c4838c3"),
+])
+def test_structure_constant_documents_pinned(kind, p, m, sha):
+    alg = algebras.build(kind, FieldParams(p, len(m), m), verify=False)
+    doc = dumps_canonical(sc_document(alg))
+    assert hashlib.sha256(doc.encode()).hexdigest() == sha

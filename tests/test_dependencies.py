@@ -2,9 +2,12 @@
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import cartaninv
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "cartaninv").glob("*.py"))
@@ -35,3 +38,13 @@ def test_pyproject_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+def test_public_exports_are_consistent():
+    exported = cartaninv.__all__
+    assert exported == sorted(set(exported))
+    for name in exported:
+        assert hasattr(cartaninv, name), f"cartaninv.__all__ lists missing {name}"
+    bound = {name for name, value in vars(cartaninv).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(exported) == bound

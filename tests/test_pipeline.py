@@ -8,6 +8,8 @@ import pytest
 from conftest import TripClock, load_fixture, random_poly
 from cartaninv import errors, pipeline
 from cartaninv.errors import UNLIMITED, BudgetExceededError, ParameterError
+from cartaninv.algebras import build_hbar
+from cartaninv.dividedpowers import dp_basis
 from cartaninv.modular import FieldParams, delta_of
 from cartaninv.pipeline import (
     Budget,
@@ -137,6 +139,17 @@ def test_lambda_values(hbar_p5, results_p5):
     assert lambda_homogeneity(SymPolynomial.from_label(hbar_p5, "u_{2,3}") ** 2) == 6
     lams = {i: r.record.lambda_value for i, r in results_p5.items()}
     assert lams == {2: 8, 4: 16, 6: 16}
+
+
+@pytest.mark.parametrize("p, m", [(3, (1, 1)), (5, (1, 1)), (7, (1, 1)),
+                                  (3, (1, 2)), (3, (1, 1, 1, 1))])
+def test_lambda_weights_from_grades(p, m):
+    # lambda of the slot of a is |delta| - |a|, in basis order
+    params = FieldParams(p, len(m), m)
+    hbar = build_hbar(params, verify=False)
+    want = [sum(delta_of(params)) - sum(a) for a in dp_basis(params) if any(a)]
+    for alg, weights in ((hbar, want), (hbar.h_subalgebra, want[:-1])):
+        assert [lambda_of_variable(alg, i) for i in range(alg.dim)] == weights
 
 
 def test_lambda_homogeneity_mixed(hbar_p5):

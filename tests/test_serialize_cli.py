@@ -70,7 +70,14 @@ def test_render_text(hbar_p3, record_p3):
     assert serialize.render_text(F) == "-3*u_{0,1} + u_{1,0}^2"
     G = SymPolynomial(hbar_p3, "int", {((0, 1),): 1, ((1, 1),): -3})
     assert serialize.render_text(G) == "u_{0,1} - 3*u_{1,0}"
-    for poly in (record_p3.invariant, F, G, SymPolynomial.zero(hbar_p3)):
+    # a constant term prints as its coefficient
+    one = SymPolynomial.one(hbar_p3, "int")
+    assert serialize.render_text(one) == "1"
+    assert serialize.render_text(one.scale(-2)) == "-2"
+    K = one + SymPolynomial.from_label(hbar_p3, "u_{1,1}", "int")
+    assert serialize.render_text(K) == "1 + u_{1,1}"
+    assert serialize.render_text(K - one.scale(3)) == "-2 + u_{1,1}"
+    for poly in (record_p3.invariant, F, G, SymPolynomial.zero(hbar_p3), one, K):
         assert repr(poly) == serialize.render_text(poly)
 
 
@@ -319,6 +326,17 @@ def test_cli_generator_check_w(capsys):
     assert rc == EX_FAIL  # e_1 itself violates the eigenvalue condition
     assert main(["generator-check", "--algebra", "W", "--p", "3", "--n", "1",
                  "--m", "1"]) == EX_USAGE  # neither --var nor --poly
+
+
+def test_cli_generator_check_prints_a_constant_defect_as_a_number(
+        tmp_path, capsys, w1_p3):
+    path = tmp_path / "one.json"
+    path.write_text(serialize.dumps_canonical(
+        serialize.poly_to_document(SymPolynomial.one(w1_p3))))
+    assert main(["generator-check", "--algebra", "W", "--p", "3", "--n", "1",
+                 "--m", "1", "--poly", str(path)]) == EX_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL ad(x^(1)d_1) eigenvalue defect: 1" in lines
 
 
 def test_cli_usage_errors(capsys):
