@@ -147,7 +147,6 @@ class CartanAlgebra:
         self._mod_rows = {}
         self._solver = None
         self._generators = None
-        self._partials = tuple(Derivation.partial(params, ax) for ax in range(params.n))
         self.partial_coords = tuple(self._locate_partial(ax) for ax in range(params.n))
         if verify:
             self._verify_closure()
@@ -162,10 +161,6 @@ class CartanAlgebra:
             scale = "monomial" if _scaled(self.params) else "divided"
             return f"pi=({pi});signs=({signs});basis={scale}"
         return "basis=divided"
-
-    def partials(self):
-        """The commuting derivations d_1..d_n spanning the grade -1 part."""
-        return self._partials
 
     def row_int(self, i: int, j: int):
         """Integer structure-constant row for [b_i, b_j]."""
@@ -247,11 +242,10 @@ class CartanAlgebra:
         return self._solver
 
     def _locate_partial(self, axis):
-        coords = decompose(self._partials[axis], self)
-        hits = [(i, c) for i, c in enumerate(coords) if c]
-        if len(hits) != 1 or hits[0][1] not in (1, self.params.p - 1):
+        """(index, +1 or -1): d_axis is one signed basis element."""
+        (i, c), *rest = decompose(Derivation.partial(self.params, axis), self).items()
+        if rest or c not in (1, self.params.p - 1):
             raise ClosureError(f"d_{axis + 1} is not a signed basis element")
-        i, c = hits[0]
         return (i, 1 if c == 1 else -1)
 
     # -- construction-time verification ---------------------------------------
@@ -269,12 +263,11 @@ class CartanAlgebra:
                         f"left the {self.kind} span"
                     ) from exc
                 stored = dict(self.row_mod(i, j))
-                found = {k: c for k, c in enumerate(coords) if c}
-                if stored != found:
+                if stored != coords:
                     raise ClosureError(
                         f"structure constants disagree with the bracket of "
                         f"{self.basis[i].label}, {self.basis[j].label}: "
-                        f"{stored} vs {found}"
+                        f"{stored} vs {coords}"
                     )
                 gi, gj = self.grades[i], self.grades[j]
                 for k, c in self.row_int(i, j):
@@ -286,13 +279,14 @@ class CartanAlgebra:
 
 
 def decompose(d: Derivation, algebra: CartanAlgebra):
-    """Coordinates of a derivation in the ordered basis, over F_p."""
+    """Coordinates of a derivation in the ordered basis, over F_p: the sparse
+    map {basis index: nonzero residue}, in ascending index order."""
     if d.params != algebra.params:
         raise ParameterError("derivation parameters do not match the algebra")
     sol = algebra._get_solver().solve(_derivation_vector(d))
     if sol is None:
         raise NotInSpanError(f"derivation outside the span of {algebra.kind}")
-    return [sol.get(k, 0) for k in range(algebra.dim)]
+    return sol
 
 
 def filtration_basis(algebra: CartanAlgebra, i: int):
@@ -358,22 +352,26 @@ def hamiltonian_field(params, alpha, scaled):
     The form is the standard one: x_{2k} pairs with x_{2k+1}, and the field of
     f is the sum of d_{2k}(f) d_{2k+1} - d_{2k+1}(f) d_{2k} over the pairs.
     """
-    p = params.p
     d = Derivation.zero(params)
-    fact = 1
-    if scaled:
-        for a in alpha:
-            fact = fact * math.factorial(a) % p
     for i in range(params.n):
         if alpha[i] == 0:
             continue
         low = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
         d = d + Derivation.monomial(params, low, i ^ 1, -1 if i % 2 else 1)
-    return d.scale(fact) if scaled else d
+    return d.scale(_multi_factorial(alpha)) if scaled else d
+
+
+def _multi_factorial(alpha):
+    """alpha! = alpha_1! ... alpha_n!"""
+    return math.prod(math.factorial(a) for a in alpha)
 
 
 def _ham_pair_coeff(a, b, i, j, delta, scaled):
-    """Integer coefficient of the {i,j} pair term in [basis_a, basis_b]."""
+    """Integer coefficient of the {i,j} pair term in [basis_a, basis_b].
+
+    It is a_i b_j - a_j b_i for u_a, and that times g!/(a! b!) for D(a), where
+    g = a + b - e_i - e_j: C(g, a-e_i) - C(g, a-e_j) = (a_i b_j - a_j b_i) g!/(a! b!).
+    """
     g = tuple(
         x + y - (1 if t in (i, j) else 0) for t, (x, y) in enumerate(zip(a, b))
     )
@@ -381,16 +379,9 @@ def _ham_pair_coeff(a, b, i, j, delta, scaled):
         return None, 0
     if all(x == 0 for x in g):
         return None, 0
-    if scaled:
-        c = a[i] * b[j] - a[j] * b[i]
-    else:
-        ei = tuple(1 if t == i else 0 for t in range(len(a)))
-        ej = tuple(1 if t == j else 0 for t in range(len(a)))
-        ai = mi_sub(a, ei)
-        aj = mi_sub(a, ej)
-        c = (multi_binom_int(g, ai) if ai is not None else 0) - (
-            multi_binom_int(g, aj) if aj is not None else 0
-        )
+    c = a[i] * b[j] - a[j] * b[i]
+    if not scaled:
+        c = c * _multi_factorial(g) // (_multi_factorial(a) * _multi_factorial(b))
     return g, c
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebras import CartanAlgebra, Derivation, bracket, decompose
+from .algebras import CartanAlgebra, Derivation, bracket, decompose, filtration_basis
 from .dividedpowers import dp_basis
 from .errors import UNLIMITED, Budget, ParameterError
 from .modular import delta_of, multi_binom_int
@@ -227,6 +227,8 @@ def render_text(F: SymPolynomial) -> str:
             piece = str(c)
         elif c == 1:
             piece = body
+        elif c == -1:
+            piece = f"-{body}"
         elif c < 0:
             piece = f"-{-c}*{body}"
         else:
@@ -271,14 +273,17 @@ def _unpack(key: int, width: int):
     return tuple(mono)
 
 
-def _ad_pass(F: SymPolynomial, idx: int, sign: int, width: int, packed):
-    """One ad pass of sign * (the idx-th basis element) over ``packed``, an
-    iterable of (packed key, coefficient, factors) triples in F's algebra and
-    ring.  Returns the packed image with its zero terms dropped."""
+def _ad_pass(F: SymPolynomial, element, width: int, packed):
+    """One ad pass over ``packed``, an iterable of (packed key, coefficient,
+    factors) triples in F's algebra and ring, of the element of L with sparse
+    coordinates ``element``: a re-iterable sequence of (basis index,
+    coefficient) pairs, such as a list or ``dict.items()``, walked once per
+    variable.  Returns the packed image with its zero terms dropped."""
     alg = F.algebra
     rows = alg.row_mod if F.ring == "modp" else alg.row_int
     unit = [1 << (width * v) for v in range(alg.dim)]
-    steps = [tuple((unit[k] - unit[v], sign * rc) for k, rc in rows(idx, v))
+    steps = [tuple((unit[k] - unit[v], c * rc) for idx, c in element
+                   for k, rc in rows(idx, v))
              for v in range(alg.dim)]
     out = {}
     get = out.get
@@ -300,28 +305,19 @@ def _from_packed(F: SymPolynomial, packed: dict, width: int) -> SymPolynomial:
     return F._bare({_unpack(m, width): c for m, c in packed.items()})
 
 
-def _ad_index(F: SymPolynomial, idx: int, sign: int = 1) -> SymPolynomial:
-    """The derivation of S(L) extending ad of the idx-th basis element."""
-    width = _width(F)
-    return _from_packed(F, _ad_pass(F, idx, sign, width, _pack_terms(F, width)), width)
-
-
 def ad_action(b, F: SymPolynomial) -> SymPolynomial:
-    """ad(b) on S(L); b is a basis index or a Derivation in the span."""
-    if isinstance(b, int):
-        return _ad_index(F, b)
-    coords = decompose(b, F.algebra)
-    out = SymPolynomial.zero(F.algebra, F.ring)
-    for idx, c in enumerate(coords):
-        if c:
-            out = out + _ad_index(F, idx).scale(c)
-    return out
+    """The derivation of S(L) extending ad(b); b is a basis index or a
+    Derivation in the span, applied in one pass over its coordinates."""
+    element = [(b, 1)] if isinstance(b, int) else decompose(b, F.algebra).items()
+    width = _width(F)
+    return _from_packed(F, _ad_pass(F, element, width, _pack_terms(F, width)), width)
 
 
 def ad_partial(F: SymPolynomial, axis: int) -> SymPolynomial:
-    """ad(d_axis): the grade -1 coordinate derivations, via their basis slot."""
-    idx, sign = F.algebra.partial_coords[axis]
-    return _ad_index(F, idx, sign)
+    """ad(d_axis): d_gamma with the unit gamma at ``axis``."""
+    gamma = [0] * F.algebra.params.n
+    gamma[axis] = 1  # an axis outside the algebra raises IndexError
+    return d_gamma(F, gamma)
 
 
 def d_gamma(F: SymPolynomial, gamma, budget: Budget = UNLIMITED) -> SymPolynomial:
@@ -335,9 +331,9 @@ def d_gamma(F: SymPolynomial, gamma, budget: Budget = UNLIMITED) -> SymPolynomia
     width = _width(F)
     packed = _pack_terms(F, width)
     for axis, g in enumerate(gamma):
-        idx, sign = F.algebra.partial_coords[axis]
+        element = [F.algebra.partial_coords[axis]]
         for _ in range(g):
-            terms = _ad_pass(F, idx, sign, width, packed)
+            terms = _ad_pass(F, element, width, packed)
             budget.charge(len(terms))
             if not terms:
                 return F._bare({})
@@ -365,28 +361,29 @@ def is_invariant(F: SymPolynomial, budget: Budget = UNLIMITED) -> InvarianceRepo
     """Check ad(b)(F) = 0 for every basis element b of F's algebra.
 
     The witness is the first basis index, in basis order, whose image is
-    nonzero.  Over F_p the annihilator {x : ad(x)F = 0} is a subalgebra, so
-    only the algebra's Lie generators are checked; when generator g fails,
-    the indices below g that are not generators are scanned for an earlier
-    witness.  The integer ring keeps the full scan, because the integral lifts
-    of the structure constants need not satisfy Jacobi over Z.
-    ``budget.checkpoint()`` runs before each ad pass.
+    nonzero.  The annihilator {x : ad(x)F = 0} is a subalgebra, so only the
+    algebra's Lie generators are checked; when generator g fails, the indices
+    below g that are not generators are scanned for an earlier witness.  Only
+    the mod-p ring is accepted: the integral lifts of the structure constants
+    need not satisfy Jacobi over Z.  ``budget.checkpoint()`` runs before each
+    ad pass.
     """
-
+    if F.ring != "modp":
+        raise ParameterError("invariance is a mod-p statement")
     alg = F.algebra
     width = _width(F)
     packed = _pack_terms(F, width)
 
     def ad(idx):
         budget.checkpoint()
-        return _from_packed(F, _ad_pass(F, idx, 1, width, packed), width)
+        return _from_packed(F, _ad_pass(F, [(idx, 1)], width, packed), width)
 
-    checked = alg.lie_generators() if F.ring == "modp" else range(alg.dim)
-    for g in checked:
+    gens = alg.lie_generators()
+    for g in gens:
         img = ad(g)
         if img:
             for idx in range(g):
-                if idx not in checked:
+                if idx not in gens:
                     earlier = ad(idx)
                     if earlier:
                         return InvarianceReport(False, (idx, earlier))
@@ -402,24 +399,31 @@ class GeneratorCheck:
     failures: tuple = ()
 
 
+def _filtration_failures(F: SymPolynomial, k: int):
+    """(description, image) for each basis element of grade >= k, in basis
+    order, whose ad image of F is nonzero."""
+    alg = F.algebra
+    fails = []
+    for idx in filtration_basis(alg, k):
+        img = ad_action(idx, F)
+        if img:
+            fails.append((f"L{k}({alg.basis[idx].label}) != 0", img))
+    return fails
+
+
 def check_generator_w(F: SymPolynomial) -> GeneratorCheck:
     """W-type generator criterion: the filtration component of grade >= 1
     annihilates F and ad(x_i d_j)(F) = -delta_{i,j} F."""
     alg = F.algebra
     if alg.kind != "W":
         raise ParameterError("check_generator_w needs a W-type algebra")
-    fails = []
-    for idx in range(alg.dim):
-        if alg.grades[idx] >= 1:
-            img = _ad_index(F, idx)
-            if img:
-                fails.append((f"L1({alg.basis[idx].label}) != 0", img))
+    fails = _filtration_failures(F, 1)
     n = alg.params.n
     for i in range(n):
         eps = tuple(1 if t == i else 0 for t in range(n))
         for j in range(n):
             idx = alg.index["x^(%s)d_%d" % (",".join(map(str, eps)), j + 1)]
-            defect = _ad_index(F, idx) + (F if i == j else F.scale(0))
+            defect = ad_action(idx, F) + (F if i == j else F.scale(0))
             if defect:
                 lbl = alg.basis[idx].label
                 fails.append((f"ad({lbl}) eigenvalue defect", defect))
@@ -431,12 +435,7 @@ def check_generator_sh(F: SymPolynomial) -> GeneratorCheck:
     alg = F.algebra
     if alg.kind not in ("S", "H", "Hbar"):
         raise ParameterError("check_generator_sh needs an S, H or Hbar algebra")
-    fails = []
-    for idx in range(alg.dim):
-        if alg.grades[idx] >= 0:
-            img = _ad_index(F, idx)
-            if img:
-                fails.append((f"L0({alg.basis[idx].label}) != 0", img))
+    fails = _filtration_failures(F, 0)
     return GeneratorCheck(not fails, tuple(fails))
 
 
@@ -453,7 +452,7 @@ def commutation_expansion_check(D: Derivation, F: SymPolynomial) -> bool:
     params = alg.params
     delta = delta_of(params)
     lhs = ad_action(D, d_delta(F))
-    partials = alg.partials()
+    partials = [Derivation.partial(params, axis) for axis in range(params.n)]
     iterated = {(0,) * params.n: D}
 
     def it_bracket(gamma):

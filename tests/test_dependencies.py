@@ -48,3 +48,25 @@ def test_public_exports_are_consistent():
     bound = {name for name, value in vars(cartaninv).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(exported) == bound
+
+
+def _functions_using(tree, used):
+    """Names of the top-level functions of ``tree`` whose bodies, nested
+    functions included, read any attribute or name in ``used``."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            for sub in ast.walk(node):
+                name = (sub.attr if isinstance(sub, ast.Attribute)
+                        else sub.id if isinstance(sub, ast.Name) else None)
+                if name in used:
+                    out.add(node.name)
+    return out
+
+
+def test_one_ad_kernel():
+    # every ad of an element of L on S(L) goes through the one packed pass
+    tree = ast.parse((ROOT / "src" / "cartaninv" / "symalg.py").read_text())
+    assert _functions_using(tree, {"row_mod", "row_int"}) == {"_ad_pass"}
+    assert _functions_using(tree, {"_ad_pass"}) == {"ad_action", "d_gamma",
+                                                    "is_invariant"}

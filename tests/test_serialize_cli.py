@@ -77,7 +77,13 @@ def test_render_text(hbar_p3, record_p3):
     K = one + SymPolynomial.from_label(hbar_p3, "u_{1,1}", "int")
     assert serialize.render_text(K) == "1 + u_{1,1}"
     assert serialize.render_text(K - one.scale(3)) == "-2 + u_{1,1}"
-    for poly in (record_p3.invariant, F, G, SymPolynomial.zero(hbar_p3), one, K):
+    # a coefficient of -1 prints as the sign alone, first or inside a sum
+    N = SymPolynomial(hbar_p3, "int", {((0, 1),): -1, ((1, 2),): -1})
+    assert serialize.render_text(N) == "-u_{0,1} - u_{1,0}^2"
+    assert serialize.render_text(one - K) == "-u_{1,1}"
+    assert serialize.render_text(one.scale(2) - K) == "1 - u_{1,1}"
+    assert serialize.render_text(one.scale(-1)) == "-1"
+    for poly in (record_p3.invariant, F, G, SymPolynomial.zero(hbar_p3), one, K, N):
         assert repr(poly) == serialize.render_text(poly)
 
 
@@ -324,6 +330,11 @@ def test_cli_generator_check_w(capsys):
                "--m", "1", "--var", "x^(2)d_1"])
     out = capsys.readouterr().out
     assert rc == EX_FAIL  # e_1 itself violates the eigenvalue condition
+    # an integer defect's coefficient -1 prints as the sign alone
+    assert main(["generator-check", "--algebra", "W", "--p", "3", "--var",
+                 "x^(1,0)d_1", "--ring", "int"]) == EX_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL L1(x^(1,1)d_2) != 0: -x^(1,1)d_2" in lines
     assert main(["generator-check", "--algebra", "W", "--p", "3", "--n", "1",
                  "--m", "1"]) == EX_USAGE  # neither --var nor --poly
 

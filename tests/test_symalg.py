@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import TripClock, ad_index_oracle, random_poly
-from cartaninv.algebras import Derivation, build_w
+from conftest import TripClock, ad_index_oracle, random_derivation, random_poly
+from cartaninv.algebras import Derivation, build_w, decompose
 from cartaninv import symalg
 from cartaninv.errors import BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of
@@ -69,6 +69,13 @@ def kernel_algebras(hbar_p3, hbar_p5, w2_p3, w2_p5, s2_p3, s2_p5):
     return out
 
 
+def ad_element(F, element):
+    """One kernel pass of ``element``, (index, coefficient) pairs, over F."""
+    width = symalg._width(F)
+    packed = symalg._ad_pass(F, element, width, symalg._pack_terms(F, width))
+    return symalg._from_packed(F, packed, width)
+
+
 @pytest.mark.parametrize("ring", ["modp", "int"])
 def test_ad_pass_matches_tuple_key_oracle(kernel_algebras, ring):
     rng = random.Random(37)
@@ -77,7 +84,12 @@ def test_ad_pass_matches_tuple_key_oracle(kernel_algebras, ring):
             F = random_poly(rng, alg, max_degree=5, nterms=5, ring=ring)
             for idx in range(alg.dim):
                 for sign in (1, -1):
-                    assert symalg._ad_index(F, idx, sign) == ad_index_oracle(F, idx, sign)
+                    assert ad_element(F, [(idx, sign)]) == ad_index_oracle(F, idx, sign)
+            # a two-pair element is the sum of its pairs' passes
+            i, j = rng.sample(range(alg.dim), 2)
+            ci, cj = rng.randrange(1, alg.params.p), -rng.randrange(1, alg.params.p)
+            assert ad_element(F, [(i, ci), (j, cj)]) == (
+                ad_index_oracle(F, i, ci) + ad_index_oracle(F, j, cj))
 
 
 @pytest.mark.parametrize("e, width", [(7, 3), (8, 4), (15, 4), (16, 5)])
@@ -87,7 +99,10 @@ def test_packed_width_boundaries(hbar_p5, e, width):
         F = SymPolynomial(hbar_p5, "modp", {((v, e),): 1})
         assert symalg._width(F) == width
         for idx in range(hbar_p5.dim):
-            assert symalg._ad_index(F, idx) == ad_index_oracle(F, idx)
+            assert ad_element(F, [(idx, 1)]) == ad_index_oracle(F, idx)
+        i, j = v, hbar_p5.dim - 1 - v
+        assert ad_element(F, {i: 2, j: 3}.items()) == (
+            ad_index_oracle(F, i, 2) + ad_index_oracle(F, j, 3))
     u = SymPolynomial.variable(hbar_p5, hbar_p5.dim - 1, "int") ** e
     want = u
     for axis, g in enumerate(delta_of(hbar_p5.params)):
@@ -132,12 +147,26 @@ def test_ad_leibniz(hbar_p5):
         assert lhs == ad_action(b, F) * G + F * ad_action(b, G)
 
 
-def test_ad_accepts_derivations(hbar_p3):
+def test_ad_accepts_derivations(hbar_p3, w2_p3, s2_p3):
     rng = random.Random(7)
     F = random_poly(rng, hbar_p3)
     d = hbar_p3.basis[3].derivation + hbar_p3.basis[4].derivation.scale(2)
     want = ad_action(3, F) + ad_action(4, F).scale(2)
     assert ad_action(d, F) == want
+    # one pass over the coordinates is the sum of the per-index images, in
+    # both rings and for random elements with two or more nonzero coordinates
+    for alg in (hbar_p3, w2_p3, s2_p3):
+        for ring in ("modp", "int"):
+            for _ in range(4):
+                coords = {}
+                while len(coords) < 2:
+                    d = random_derivation(rng, alg)
+                    coords = decompose(d, alg)
+                F = random_poly(rng, alg, ring=ring)
+                want = SymPolynomial.zero(alg, ring)
+                for idx, c in coords.items():
+                    want = want + ad_action(idx, F).scale(c)
+                assert ad_action(d, F) == want
 
 
 def test_int_ring_reduces_to_modp(hbar_p3, w2_p3):
@@ -183,6 +212,9 @@ def test_ad_partial_nilpotent_and_kills_images(hbar_p3):
                 G = ad_partial(G, ax)
             assert G.is_zero()
             assert ad_partial(d_delta(F), ax).is_zero()
+        assert ad_partial(F, -1) == ad_partial(F, 1)
+        with pytest.raises(IndexError):
+            ad_partial(F, 2)
 
 
 def test_is_invariant(hbar_p3, record_p3):
@@ -246,22 +278,20 @@ def test_is_invariant_passes_per_ring(monkeypatch, hbar_p5, results_p5):
     h = inv.algebra
     rng = random.Random(31)
     ints = [random_poly(rng, hbar_p5, ring="int") for _ in range(5)]
-    cases = [(SymPolynomial.one(h, "int"), None)] + [(F, full_scan(F)) for F in ints]
     calls = []
     ad_pass = symalg._ad_pass
 
-    def counted(F, idx, *args):
-        calls.append(idx)
-        return ad_pass(F, idx, *args)
+    def counted(F, element, *args):
+        calls.extend(idx for idx, _ in element)
+        return ad_pass(F, element, *args)
 
     monkeypatch.setattr(symalg, "_ad_pass", counted)
     assert is_invariant(inv).is_invariant
     assert calls == list(h.lie_generators())
-    # the integer ring scans the basis in order up to the first witness
-    for F, want in cases:
-        calls.clear()
-        assert is_invariant(F).witness == want
-        assert calls == list(range(h.dim if want is None else want[0] + 1))
+    # invariance is a mod-p statement: the integer ring is refused
+    for F in [SymPolynomial.one(h, "int")] + ints:
+        with pytest.raises(ParameterError, match="mod-p"):
+            is_invariant(F)
 
 
 def test_is_invariant_checkpoints_each_pass(results_p5):
