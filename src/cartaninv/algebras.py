@@ -73,7 +73,9 @@ class Derivation:
         out = DPPolynomial.zero(self.params)
         for i, fi in enumerate(self.coeffs):
             if fi:
-                out = out + fi * f.partial(i)
+                df = f.partial(i)
+                if df.terms:
+                    out = out + fi * df
         return out
 
     def is_zero(self) -> bool:
@@ -182,17 +184,19 @@ class CartanAlgebra:
         """Basis indices, ascending, of a set that generates the algebra under
         the mod-p bracket.
 
-        Starts from the grade -1 and grade 1 parts and, while their bracket
-        closure is not the whole algebra, adds the first basis index outside it.
-        Computed on first use and cached on the instance.
+        Starts from the grade -1 part and, while its bracket closure is not
+        the whole algebra, adds the highest basis index outside it: the top
+        elements generate much of the algebra under ad of grade -1, so few are
+        needed (3 for H_2(1,1) at p >= 5).  Computed on first use and cached on
+        the instance.
         """
         if self._generators is None:
-            gens = [i for i, g in enumerate(self.grades) if g in (-1, 1)]
+            gens = [i for i, g in enumerate(self.grades) if g == -1]
             while True:
                 span = self._bracket_closure(gens)
                 if span.rank == self.dim:
                     break
-                gens.append(next(i for i in range(self.dim)
+                gens.append(next(i for i in reversed(range(self.dim))
                                  if span.solve({i: 1}) is None))
             self._generators = tuple(sorted(gens))
         return self._generators

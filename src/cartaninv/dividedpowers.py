@@ -79,7 +79,7 @@ class DPPolynomial:
 
     # -- ring operations ---------------------------------------------------
     def _check(self, other):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ParameterError("parameter mismatch between operands")
 
     def __add__(self, other):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ParameterError
 
@@ -66,8 +67,10 @@ def validate_for_kind(params: FieldParams, kind: str) -> None:
         raise ParameterError(f"{kind} requires an odd prime p, got p={params.p}")
 
 
+@lru_cache(maxsize=None)
 def delta_of(params: FieldParams) -> MultiIndex:
-    """The top multi-index delta with delta_i = p^{m_i} - 1."""
+    """The top multi-index delta with delta_i = p^{m_i} - 1 (cached: every
+    divided-power product reads it)."""
     return tuple(params.p ** mi - 1 for mi in params.m)
 
 

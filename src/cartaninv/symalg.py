@@ -262,14 +262,15 @@ def _pack_terms(F: SymPolynomial, width: int):
 
 
 def _unpack(key: int, width: int):
-    """The monomial tuple of a packed key, peeling off its lowest field."""
-    mask = (1 << width) - 1
+    """The monomial tuple of a packed key, peeling off its top field: the
+    shift alone isolates it, with no mask or negation."""
     mono = []
     while key:
-        v = ((key & -key).bit_length() - 1) // width
-        e = (key >> (width * v)) & mask
-        mono.append((v, e))
-        key -= e << (width * v)
+        s = (key.bit_length() - 1) // width * width
+        e = key >> s
+        mono.append((s // width, e))
+        key ^= e << s
+    mono.reverse()
     return tuple(mono)
 
 

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from conftest import load_fixture
-from cartaninv import serialize
+from cartaninv import serialize, symalg
 from cartaninv.algebras import Derivation, bracket, build_hbar, decompose
 from cartaninv.cli import EX_OK, main
 from cartaninv.gflinalg import kernel_basis
@@ -303,11 +303,9 @@ def test_criterion_9_p7_exploration(sweep_p7):
           f"{note}")
 
 
-def test_p7_delta_10_star_witness_is_first_in_basis_order(sweep_p7):
-    # the generating-set check must report the witness the full scan finds
-    assert sweep_p7.completed
-    result = sweep_p7.results[-1]
-    assert (result.power, result.status) == (10, "not-invariant")
+@pytest.fixture(scope="module")
+def delta_10_star_p7():
+    """The p = 7 Delta_10_star candidate and its full-scan witness."""
     hbar = build_hbar(FieldParams(7, 2, (1, 1)), verify=False)
     generator, _ = phi_normalize(restrict_u_zero(compute_delta(10, hbar)))
     candidate = d_delta(generator)
@@ -315,7 +313,38 @@ def test_p7_delta_10_star_witness_is_first_in_basis_order(sweep_p7):
         img = ad_action(first, candidate)
         if img:
             break
+    return candidate, (first, img)
+
+
+def test_p7_delta_10_star_witness_is_first_in_basis_order(sweep_p7, delta_10_star_p7):
+    # the generating-set check must report the witness the full scan finds
+    assert sweep_p7.completed
+    result = sweep_p7.results[-1]
+    assert (result.power, result.status) == (10, "not-invariant")
+    candidate, (first, img) = delta_10_star_p7
     assert result.witness == (first, img)
     assert candidate.algebra.basis[first].label == "u_{0,2}"
     print("\nACCEPTANCE 9b PASS: p=7 Delta_10_star witness u_{0,2} is the first "
           "failing basis element")
+
+
+def test_p7_invariance_passes_on_top_down_generators(monkeypatch, sweep_p7,
+                                                      delta_10_star_p7):
+    calls = []
+    ad_pass = symalg._ad_pass
+
+    def counted(F, element, *args):
+        calls.extend(idx for idx, _ in element)
+        return ad_pass(F, element, *args)
+
+    delta_8 = next(r for r in sweep_p7.records if r.label == "Delta_8_star").invariant
+    candidate, witness = delta_10_star_p7
+    labels = lambda: [delta_8.algebra.basis[idx].label for idx in calls]
+    monkeypatch.setattr(symalg, "_ad_pass", counted)
+    assert is_invariant(delta_8).is_invariant
+    assert labels() == ["u_{0,1}", "u_{1,0}", "u_{6,5}"]
+    calls.clear()
+    rep = is_invariant(candidate)
+    # u_{6,5} fails, and the back-scan below it finds the full scan's witness
+    assert labels() == ["u_{0,1}", "u_{1,0}", "u_{6,5}", "u_{0,2}"]
+    assert rep.witness == witness

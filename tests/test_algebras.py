@@ -361,13 +361,26 @@ def test_lie_generators_generate(fix, request):
     assert _generated_dim(alg, gens) == alg.dim
 
 
+def generator_labels(alg):
+    return [alg.basis[g].label for g in alg.lie_generators()]
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_lie_generators_of_h(p):
+    # top-down: grade -1, then the highest index outside the closure
     hbar = build_hbar(FieldParams(p, 2, (1, 1)), verify=False)
-    six = ["u_{0,1}", "u_{1,0}", "u_{0,3}", "u_{1,2}", "u_{2,1}", "u_{3,0}"]
-    labels = lambda alg: [alg.basis[g].label for g in alg.lie_generators()]
-    assert labels(hbar.h_subalgebra) == six
-    assert labels(hbar) == six + [f"u_{{{p - 1},{p - 1}}}"]
+    assert generator_labels(hbar.h_subalgebra) == [
+        "u_{0,1}", "u_{1,0}", f"u_{{{p - 1},{p - 2}}}"]
+    assert generator_labels(hbar) == ["u_{0,1}", "u_{1,0}", f"u_{{{p - 1},{p - 1}}}"]
+
+
+def test_lie_generators_top_down(w2_p5, s2_p5, hbar_p3):
+    assert generator_labels(w2_p5) == [
+        "x^(0,0)d_1", "x^(0,0)d_2", "x^(4,4)d_1", "x^(4,4)d_2"]
+    assert generator_labels(s2_p5) == ["D_{1,2}(0,1)", "D_{1,2}(1,0)", "D_{1,2}(4,4)"]
+    # at p = 3, grade -1 and the top element u_{2,1} span only 5 of 7 dimensions
+    assert generator_labels(hbar_p3.h_subalgebra) == [
+        "u_{0,1}", "u_{1,0}", "u_{1,2}", "u_{2,1}"]
 
 
 def test_lie_generators_lazy_and_cached(monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import TripClock, ad_index_oracle, random_derivation, random_poly
-from cartaninv.algebras import Derivation, build_w, decompose
+from cartaninv.algebras import Derivation, build_hbar, build_w, decompose
 from cartaninv import symalg
 from cartaninv.errors import BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of
@@ -17,6 +17,7 @@ from cartaninv.symalg import (
     d_delta,
     d_gamma,
     is_invariant,
+    mono_degree,
 )
 
 
@@ -110,6 +111,23 @@ def test_packed_width_boundaries(hbar_p5, e, width):
         for _ in range(g):
             want = ad_index_oracle(want, idx, sign)
     assert d_delta(u) == want
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_unpack_round_trip(p):
+    # the top-field-first unpack must still give the factors in ascending index
+    dim = build_hbar(FieldParams(p, 2, (1, 1)), verify=False).dim
+    rng = random.Random(41 + p)
+    for _ in range(200):
+        size = rng.randint(1, 4)
+        ends = rng.sample([0, dim - 1], rng.randint(0, min(2, size)))
+        inner = rng.sample(range(1, dim - 1), size - len(ends))
+        mono = tuple((v, rng.choice((1, 7, 8, 15, 16))) for v in sorted(ends + inner))
+        # from the narrowest field that holds every exponent up to the degree's
+        top = max(e for _, e in mono).bit_length()
+        for width in range(top, mono_degree(mono).bit_length() + 1):
+            key = sum(e << (width * v) for v, e in mono)
+            assert symalg._unpack(key, width) == mono
 
 
 class ChargeRecorder:
