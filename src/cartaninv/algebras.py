@@ -70,6 +70,12 @@ class Derivation:
         return cls(params, cs)
 
     def apply(self, f: DPPolynomial) -> DPPolynomial:
+        """The operator sum f_i d_i applied to f.
+
+        The operator-level path, independent of ``_bracket_vector``: the tests
+        check ``bracket`` against the commutator of two ``apply`` calls, and
+        they are its only callers.
+        """
         out = DPPolynomial.zero(self.params)
         for i, fi in enumerate(self.coeffs):
             if fi:
@@ -111,13 +117,15 @@ class Derivation:
 
 
 def bracket(d1: Derivation, d2: Derivation) -> Derivation:
-    """Commutator [d1, d2]; k-th coefficient sum_i (f_i d_i g_k - g_i d_i f_k)."""
+    """Commutator [d1, d2], by the vector rule ``_bracket_vector``."""
     if d1.params != d2.params:
         raise ParameterError("parameter mismatch between derivations")
-    return Derivation(
-        d1.params,
-        [d1.apply(g) - d2.apply(f) for f, g in zip(d1.coeffs, d2.coeffs)],
-    )
+    params = d1.params
+    vec = _bracket_vector(_derivation_vector(d1), _derivation_vector(d2), params)
+    coeffs = [{} for _ in range(params.n)]
+    for (axis, alpha), c in vec.items():
+        coeffs[axis][alpha] = c
+    return Derivation(params, [DPPolynomial(params, t) for t in coeffs])
 
 
 class BasisElement(NamedTuple):
@@ -130,6 +138,30 @@ def _derivation_vector(d: Derivation):
     """A derivation as the sparse vector {(axis, alpha): coeff}."""
     return {(ax, alpha): c for ax, f in enumerate(d.coeffs)
             for alpha, c in f.terms.items()}
+
+
+def _bracket_vector(u, v, params):
+    """[u, v] of two derivations given as sparse vectors {(axis, alpha): coeff}.
+
+    The k-th coefficient is sum_i (f_i d_i g_k - g_i d_i f_k), where
+    x^(a) x^(b) = C(a+b, a) x^(a+b), zero past delta.  Exact integers are
+    accumulated and reduced mod p once; the result holds the nonzero residues.
+    This is the generic divided-power rule: it never reads a closed form.
+    """
+    delta = delta_of(params)
+    out = {}
+    for x, y, sign in ((u, v, 1), (v, u, -1)):
+        # x^(a) d_i applied to the coefficient x^(b) of d_k
+        for (i, a), ca in x.items():
+            for (k, b), cb in y.items():
+                if b[i]:
+                    g = mi_add(a, b[:i] + (b[i] - 1,) + b[i + 1:], delta)
+                    if g is not None:
+                        key = (k, g)
+                        c = sign * ca * cb * multi_binom_int(g, a)
+                        out[key] = out.get(key, 0) + c
+    p = params.p
+    return {key: c % p for key, c in out.items() if c % p}
 
 
 class CartanAlgebra:
@@ -256,16 +288,16 @@ class CartanAlgebra:
     def _verify_closure(self):
         """Check the closed-form rows against honest derivation brackets."""
         p = self.params.p
+        solver = self._get_solver()
+        vecs = [_derivation_vector(b.derivation) for b in self.basis]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                br = bracket(self.basis[i].derivation, self.basis[j].derivation)
-                try:
-                    coords = decompose(br, self)
-                except NotInSpanError as exc:
+                coords = solver.solve(_bracket_vector(vecs[i], vecs[j], self.params))
+                if coords is None:
                     raise ClosureError(
                         f"[{self.basis[i].label}, {self.basis[j].label}] "
                         f"left the {self.kind} span"
-                    ) from exc
+                    )
                 stored = dict(self.row_mod(i, j))
                 if stored != coords:
                     raise ClosureError(
@@ -501,14 +533,14 @@ def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
     basis = [
         BasisElement(_s_label(a, i, j), d, sum(a) - 2) for a, i, j, d in chosen
     ]
+    vecs = [_derivation_vector(b.derivation) for b in basis]
     basis_solver = SpanSolver(p)
-    for b in basis:
-        basis_solver.insert(_derivation_vector(b.derivation))
+    for vec in vecs:
+        basis_solver.insert(vec)
     rows = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            br = bracket(basis[i].derivation, basis[j].derivation)
-            sol = basis_solver.solve(_derivation_vector(br))
+            sol = basis_solver.solve(_bracket_vector(vecs[i], vecs[j], params))
             if sol is None:
                 raise ClosureError("S bracket left the computed span")
             row = tuple(sorted((k, c) for k, c in sol.items() if c))

@@ -115,7 +115,11 @@ class DPPolynomial:
         return res
 
     def __mul__(self, other):
-        """Divided-power product; terms beyond delta vanish."""
+        """Divided-power product; terms beyond delta vanish.
+
+        Part of the operator-level path (``Derivation.apply``) that the tests
+        check ``bracket`` against; only the tests reach it.
+        """
         self._check(other)
         params = self.params
         p = params.p

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, le
 
 from .errors import ParameterError
 
@@ -97,10 +98,8 @@ def mi_add(alpha: MultiIndex, beta: MultiIndex, delta: MultiIndex):
     Overflow is the signaled outcome that callers map to the zero product
     (the truncation x_i^{p^{m_i}} = 0).
     """
-    out = tuple(a + b for a, b in zip(alpha, beta))
-    if any(o > d for o, d in zip(out, delta)):
-        return None
-    return out
+    out = tuple(map(add, alpha, beta))
+    return out if all(map(le, out, delta)) else None
 
 
 def mi_sub(alpha: MultiIndex, beta: MultiIndex):

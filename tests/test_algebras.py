@@ -102,18 +102,33 @@ def test_bracket_examples(w2_p3, hbar_p3):
     assert decompose(br, hbar_p3) == {hbar_p3.index["u_{2,0}"]: 1}
 
 
-def test_bracket_is_the_operator_commutator(w2_p3):
-    # oracle: apply both compositions to every monomial of the divided algebra
+def _random_field(rng, params):
+    """A derivation with random divided-power coefficients on every axis."""
+    monos = dp_basis(params)
+    return Derivation(params, [
+        DPPolynomial(params, {rng.choice(monos): rng.randrange(1, params.p)
+                              for _ in range(rng.randint(1, 4))})
+        for _ in range(params.n)
+    ])
+
+
+def test_bracket_is_the_operator_commutator():
+    # oracle: apply both compositions to every monomial of the divided algebra;
+    # heights above 1 are where the binomials mod p matter
     rng = random.Random(23)
-    params = w2_p3.params
-    for _ in range(10):
-        d1 = random_derivation(rng, w2_p3)
-        d2 = random_derivation(rng, w2_p3)
-        br = bracket(d1, d2)
-        for alpha in dp_basis(params):
-            f = DPPolynomial.monomial(params, alpha)
-            want = d1.apply(d2.apply(f)) - d2.apply(d1.apply(f))
-            assert br.apply(f) == want
+    for kind, p, m in [("W", 3, (1, 1)), ("W", 3, (2,)), ("S", 5, (1, 1)),
+                       ("Hbar", 5, (1, 1)), ("H", 3, (2, 1))]:
+        params = FieldParams(p, len(m), m)
+        alg = algebras.build(kind, params)
+        for trial in range(10):
+            d1, d2 = _random_field(rng, params), _random_field(rng, params)
+            if trial % 2:
+                d1 = d1 + random_derivation(rng, alg)
+            br = bracket(d1, d2)
+            for alpha in dp_basis(params):
+                f = DPPolynomial.monomial(params, alpha)
+                want = d1.apply(d2.apply(f)) - d2.apply(d1.apply(f))
+                assert br.apply(f) == want, (kind, p, m, d1, d2, alpha)
 
 
 def test_antisymmetry(hbar_p5):
@@ -227,12 +242,53 @@ def test_divided_basis_for_general_m():
     assert alg.r == max(alg.grades)
 
 
+def _first_row(alg):
+    return next((i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim)
+                if alg.row_mod(i, j))
+
+
+def _bumped(alg):
+    """(a) one stored integer coefficient changed by +1."""
+    i, j = _first_row(alg)
+    (k, c), *rest = alg.rows_int[(i, j)]
+    rows = dict(alg.rows_int)
+    rows[(i, j)] = ((k, c + 1), *rest)
+    return alg.basis, rows
+
+
+def _row_removed(alg):
+    """(b) one nonzero row removed, both (i, j) and (j, i)."""
+    i, j = _first_row(alg)
+    rows = {key: row for key, row in alg.rows_int.items()
+            if key not in ((i, j), (j, i))}
+    return alg.basis, rows
+
+
+def _element_removed(alg):
+    """(c) the first grade-0 element removed and its rows dropped."""
+    r = alg.grades.index(0)
+    new = {old: k for k, old in enumerate(i for i in range(alg.dim) if i != r)}
+    rows = {}
+    for (i, j), row in alg.rows_int.items():
+        kept = tuple((new[k], c) for k, c in row if k != r)
+        if r not in (i, j) and kept:
+            rows[(new[i], new[j])] = kept
+    return [b for i, b in enumerate(alg.basis) if i != r], rows
+
+
 def test_closure_verification_catches_corruption(w1_p3):
     rows = dict(w1_p3.rows_int)
     rows[(0, 1)] = ((1, 1),)  # wrong: [d, xd] = d, not xd
     rows[(1, 0)] = ((1, -1),)
-    with pytest.raises(ClosureError):
+    with pytest.raises(ClosureError, match="disagree"):
         CartanAlgebra("W", w1_p3.params, w1_p3.basis, rows)
+    for kind, p in [("W", 3), ("S", 5), ("H", 5), ("Hbar", 5)]:
+        alg = algebras.build(kind, FieldParams(p, 2, (1, 1)))
+        for corrupt, message in [(_bumped, "disagree"), (_row_removed, "disagree"),
+                                 (_element_removed, "left the")]:
+            basis, rows = corrupt(alg)
+            with pytest.raises(ClosureError, match=message):
+                CartanAlgebra(kind, alg.params, basis, rows)
 
 
 def test_build_hbar_checks_closure_once(monkeypatch, params3):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cartaninv.errors import ParameterError
@@ -69,6 +71,28 @@ def test_mi_ops():
     assert mi_sub((0, 1), (1, 0)) is None
     assert mi_leq((1, 2), (2, 2))
     assert not mi_leq((3, 0), (2, 2))
+
+
+def _mi_add_reference(alpha, beta, delta):
+    out = tuple(a + b for a, b in zip(alpha, beta))
+    if any(o > d for o, d in zip(out, delta)):
+        return None
+    return out
+
+
+def test_mi_add_bounds():
+    delta = (2, 8, 4, 4)
+    assert mi_add((1, 3, 0, 4), (1, 5, 4, 0), delta) == delta  # exactly at delta
+    for axis in range(4):
+        beta = tuple(d - a + (t == axis) for t, (a, d) in enumerate(zip((1, 3, 0, 4), delta)))
+        assert mi_add((1, 3, 0, 4), beta, delta) is None  # one component over
+    rng = random.Random(41)
+    for n in (1, 2, 4):
+        delta = tuple(rng.choice((2, 4, 8, 24)) for _ in range(n))
+        for _ in range(500):
+            alpha = tuple(rng.randint(0, d) for d in delta)
+            beta = tuple(rng.randint(0, d) for d in delta)
+            assert mi_add(alpha, beta, delta) == _mi_add_reference(alpha, beta, delta)
 
 
 def test_field_params_validation():
