@@ -29,7 +29,7 @@ import math
 from typing import NamedTuple
 
 from .dividedpowers import DPPolynomial, dp_basis
-from .errors import ClosureError, NotInSpanError, ParameterError
+from .errors import UNLIMITED, Budget, ClosureError, NotInSpanError, ParameterError
 from .gflinalg import SpanSolver
 from .modular import (
     FieldParams,
@@ -168,7 +168,7 @@ class CartanAlgebra:
     """A constructed algebra: ordered basis, grading, integer constants."""
 
     def __init__(self, kind, params, basis, rows_int, h_subalgebra=None,
-                 verify=True):
+                 verify=True, budget: Budget = UNLIMITED):
         self.kind = kind
         self.params = params
         self.basis = tuple(basis)
@@ -183,7 +183,7 @@ class CartanAlgebra:
         self._generators = None
         self.partial_coords = tuple(self._locate_partial(ax) for ax in range(params.n))
         if verify:
-            self._verify_closure()
+            self._verify_closure(budget)
 
     # -- bookkeeping ---------------------------------------------------------
     @property
@@ -285,12 +285,14 @@ class CartanAlgebra:
         return (i, 1 if c == 1 else -1)
 
     # -- construction-time verification ---------------------------------------
-    def _verify_closure(self):
-        """Check the closed-form rows against honest derivation brackets."""
+    def _verify_closure(self, budget: Budget = UNLIMITED):
+        """Check the closed-form rows against honest derivation brackets;
+        ``budget.checkpoint()`` runs once per row i, before its pairs (i, j)."""
         p = self.params.p
         solver = self._get_solver()
         vecs = [_derivation_vector(b.derivation) for b in self.basis]
         for i in range(self.dim):
+            budget.checkpoint()
             for j in range(i + 1, self.dim):
                 coords = solver.solve(_bracket_vector(vecs[i], vecs[j], self.params))
                 if coords is None:
@@ -338,7 +340,8 @@ def _w_label(alpha, axis):
     return "x^(%s)d_%d" % (",".join(map(str, alpha)), axis + 1)
 
 
-def build_w(params: FieldParams, verify: bool = True) -> CartanAlgebra:
+def build_w(params: FieldParams, verify: bool = True,
+            budget: Budget = UNLIMITED) -> CartanAlgebra:
     """General algebra: all x^(a) d_i, dimension n p^(m_1+..+m_n)."""
     delta = delta_of(params)
     keys = [(alpha, ax) for alpha in dp_basis(params) for ax in range(params.n)]
@@ -367,7 +370,7 @@ def build_w(params: FieldParams, verify: bool = True) -> CartanAlgebra:
             if row:
                 rows[(i, j)] = row
                 rows[(j, i)] = tuple((k, -c) for k, c in row)
-    return CartanAlgebra("W", params, basis, rows, verify=verify)
+    return CartanAlgebra("W", params, basis, rows, verify=verify, budget=budget)
 
 
 # -- H and Hbar --------------------------------------------------------------
@@ -450,7 +453,7 @@ def _build_hamiltonian(params, scaled):
     return basis, rows
 
 
-def _h_from_hbar(params, basis, rows, verify):
+def _h_from_hbar(params, basis, rows, verify, budget=UNLIMITED):
     """H from Hbar's tables: the top element and its row entries dropped.
 
     H is a subalgebra, so every dropped entry of an H bracket is 0 mod p.
@@ -469,24 +472,27 @@ def _h_from_hbar(params, basis, rows, verify):
             )
         if kept:
             h_rows[(i, j)] = kept
-    return CartanAlgebra("H", params, basis[:-1], h_rows, verify=verify)
+    return CartanAlgebra("H", params, basis[:-1], h_rows, verify=verify,
+                         budget=budget)
 
 
-def build_h(params: FieldParams, verify: bool = True) -> CartanAlgebra:
+def build_h(params: FieldParams, verify: bool = True,
+            budget: Budget = UNLIMITED) -> CartanAlgebra:
     """Hamiltonian algebra: fields of monomials for 0 < a < delta."""
     validate_for_kind(params, "H")
     return _h_from_hbar(params, *_build_hamiltonian(params, _scaled(params)),
-                        verify=verify)
+                        verify=verify, budget=budget)
 
 
-def build_hbar(params: FieldParams, verify: bool = True) -> CartanAlgebra:
+def build_hbar(params: FieldParams, verify: bool = True,
+               budget: Budget = UNLIMITED) -> CartanAlgebra:
     """Extension of H by the top field u (the field of the monomial at delta)."""
     validate_for_kind(params, "Hbar")
     basis, rows = _build_hamiltonian(params, _scaled(params))
     # Hbar's closure check covers every H bracket, so H is not checked again
     sub = _h_from_hbar(params, basis, rows, verify=False)
     return CartanAlgebra("Hbar", params, basis, rows, h_subalgebra=sub,
-                         verify=verify)
+                         verify=verify, budget=budget)
 
 
 # -- S -----------------------------------------------------------------------
@@ -506,7 +512,8 @@ def _s_field(params, alpha, i, j):
     return d
 
 
-def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
+def build_s(params: FieldParams, verify: bool = True,
+            budget: Budget = UNLIMITED) -> CartanAlgebra:
     """Special algebra: span of D_{i,j}(a), basis chosen in (a, i, j) order."""
     validate_for_kind(params, "S")
     if params.n == 2:
@@ -514,7 +521,8 @@ def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
         # relabelled from D(a) to D_{1,2}(a)
         basis, rows = _build_hamiltonian(params, scaled=False)
         basis = [b._replace(label="D_{1,2}" + b.label[1:]) for b in basis]
-        return CartanAlgebra("S", params, basis, rows, verify=verify)
+        return CartanAlgebra("S", params, basis, rows, verify=verify,
+                             budget=budget)
     # n >= 3: no closed integral form is used; decompose the honest bracket
     # over F_p and store least non-negative residues
     p = params.p
@@ -539,6 +547,7 @@ def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
         basis_solver.insert(vec)
     rows = {}
     for i in range(len(basis)):
+        budget.checkpoint()
         for j in range(i + 1, len(basis)):
             sol = basis_solver.solve(_bracket_vector(vecs[i], vecs[j], params))
             if sol is None:
@@ -547,14 +556,15 @@ def build_s(params: FieldParams, verify: bool = True) -> CartanAlgebra:
             if row:
                 rows[(i, j)] = row
                 rows[(j, i)] = tuple((k, p - c) for k, c in row)
-    return CartanAlgebra("S", params, basis, rows, verify=verify)
+    return CartanAlgebra("S", params, basis, rows, verify=verify, budget=budget)
 
 
 _BUILDERS = {"W": build_w, "S": build_s, "H": build_h, "Hbar": build_hbar}
 
 
-def build(kind: str, params: FieldParams, verify: bool = True):
-    """Dispatch on the algebra kind tag."""
+def build(kind: str, params: FieldParams, verify: bool = True,
+          budget: Budget = UNLIMITED):
+    """Dispatch on the algebra kind tag; ``budget`` bounds the closure check."""
     if kind not in _BUILDERS:
         raise ParameterError(f"unknown algebra kind {kind!r}")
-    return _BUILDERS[kind](params, verify=verify)
+    return _BUILDERS[kind](params, verify=verify, budget=budget)

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import serialize
 from .algebras import build
 from .errors import (
+    UNLIMITED,
     Budget,
     BudgetExceededError,
     NotInSpanError,
@@ -28,13 +29,13 @@ from .symalg import SymPolynomial, check_generator_sh, check_generator_w
 EX_OK, EX_FAIL, EX_USAGE, EX_BUDGET = 0, 1, 2, 3
 
 
-def _build_algebra(args, kind):
+def _build_algebra(args, kind, budget=UNLIMITED):
     params = FieldParams(args.p, args.n, args.m)
     if args.store:
         cached = serialize.load_algebra(args.store, kind, params)
         if cached is not None:
             return cached
-    algebra = build(kind, params)
+    algebra = build(kind, params, budget=budget)
     if args.store:
         serialize.save_structure_constants(args.store, algebra)
     return algebra
@@ -95,7 +96,7 @@ def _cmd_bracket_table(args) -> int:
 
 def _cmd_invariant_compute(args) -> int:
     budget = Budget(args.max_terms, args.max_seconds)
-    algebra = _build_algebra(args, "Hbar")
+    algebra = _build_algebra(args, "Hbar", budget)
     if args.store:
         for label in (f"Delta_{args.power}", f"Delta_{args.power}_star"):
             stored = _load_verified_record(args.store, algebra, label, budget)
@@ -129,11 +130,12 @@ def _output_record(args, record, src: str) -> None:
 
 
 def _cmd_invariant_verify(args) -> int:
+    budget = Budget(args.max_terms, args.max_seconds)
     doc = json.loads(Path(args.record_file).read_text())
-    hbar = build("Hbar", serialize.record_params(doc))
+    hbar = build("Hbar", serialize.record_params(doc), budget=budget)
     record = serialize.document_to_record(doc, hbar)
     try:
-        record.verify(hbar)
+        record.verify(hbar, budget)
     except ValueError as exc:
         print(f"{record.term_count} terms, invariant: no ({exc})")
         return EX_FAIL
@@ -167,7 +169,7 @@ def _cmd_independence(args) -> int:
     if not args.store:
         raise ParameterError("independence needs --store with saved records")
     budget = Budget(args.max_terms, args.max_seconds)
-    hbar = _build_algebra(args, "Hbar")
+    hbar = _build_algebra(args, "Hbar", budget)
     records = []
     for label in args.labels:
         rec = _load_verified_record(args.store, hbar, label, budget)
@@ -290,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
                  *params, "--output", "--store", *budget)
     sp.add_argument("--power", type=int, required=True)
     sp = command("invariant-verify", _cmd_invariant_verify,
-                 "verify a stored invariant record file")
+                 "verify a stored invariant record file", *budget)
     sp.add_argument("record_file")
     sp = command("generator-check", _cmd_generator_check,
                  "check the generator criteria for a polynomial",

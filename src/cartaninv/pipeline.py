@@ -273,16 +273,15 @@ def independence_report(records, budget: Budget = UNLIMITED) -> IndependenceRepo
         if r.lambda_value is None:
             raise ParameterError(f"{r.label} is not lambda-homogeneous")
     p = alg.params.p
+    degrees = [r.invariant.homogeneous_degree() for r in records]
     entries = []
     all_ok = True
     for k, rec in enumerate(records):
-        deg = rec.invariant.homogeneous_degree()
+        deg = degrees[k]
         earlier = records[:k]
         traces = []
         matching = []
-        for exps in _candidate_exponents(
-            [e.invariant.homogeneous_degree() for e in earlier], deg
-        ):
+        for exps in _candidate_exponents(degrees[:k], deg):
             if not any(exps):
                 continue
             lam = sum(e * r.lambda_value for e, r in zip(exps, earlier))
@@ -352,12 +351,16 @@ def conjecture_sweep(p: int, budget: Budget = UNLIMITED) -> SweepReport:
     the externally known index p - 2.  Exploratory: evidence, not proof.
     Budget exhaustion yields a partial report, not an exception.
     """
-    params = FieldParams(p, 2, (1, 1))
-    algebra = build_hbar(params)
     results = []
     completed = True
     note = ""
-    for power in range(2, 2 * (p - 2) + 1, 2):
+    powers = range(2, 2 * (p - 2) + 1, 2)
+    try:
+        algebra = build_hbar(FieldParams(p, 2, (1, 1)), budget=budget)
+    except BudgetExceededError as exc:
+        completed, powers = False, ()
+        note = f"budget exhausted in the algebra build: {exc}"
+    for power in powers:
         try:
             budget.checkpoint()
             results.append(delta_star(power, algebra, budget))

@@ -261,14 +261,26 @@ def _pack_terms(F: SymPolynomial, width: int):
     return [(sum(e << (width * v) for v, e in m), c, m) for m, c in F.terms.items()]
 
 
-def _unpack(key: int, width: int):
+def _unpack_table(width: int, dim: int):
+    """For each bit length b of a packed key: the shift of its top field, and
+    that field's variable's (index, exponent) pairs, indexed by exponent.  The
+    pairs are made once here and shared by every monomial unpacked with it."""
+    rows = [[(v, e) for e in range(1 << width)] for v in range(dim)]
+    lengths = range(width * dim + 1)
+    return ([(b - 1) // width * width for b in lengths],
+            [rows[(b - 1) // width] for b in lengths])
+
+
+def _unpack(key: int, table):
     """The monomial tuple of a packed key, peeling off its top field: the
     shift alone isolates it, with no mask or negation."""
+    shifts, pairs = table
     mono = []
     while key:
-        s = (key.bit_length() - 1) // width * width
+        b = key.bit_length()
+        s = shifts[b]
         e = key >> s
-        mono.append((s // width, e))
+        mono.append(pairs[b][e])
         key ^= e << s
     mono.reverse()
     return tuple(mono)
@@ -303,7 +315,8 @@ def _ad_pass(F: SymPolynomial, element, width: int, packed):
 
 
 def _from_packed(F: SymPolynomial, packed: dict, width: int) -> SymPolynomial:
-    return F._bare({_unpack(m, width): c for m, c in packed.items()})
+    table = _unpack_table(width, F.algebra.dim)
+    return F._bare({_unpack(m, table): c for m, c in packed.items()})
 
 
 def ad_action(b, F: SymPolynomial) -> SymPolynomial:
@@ -331,6 +344,7 @@ def d_gamma(F: SymPolynomial, gamma, budget: Budget = UNLIMITED) -> SymPolynomia
         return F
     width = _width(F)
     packed = _pack_terms(F, width)
+    table = _unpack_table(width, F.algebra.dim)
     for axis, g in enumerate(gamma):
         element = [F.algebra.partial_coords[axis]]
         for _ in range(g):
@@ -338,7 +352,7 @@ def d_gamma(F: SymPolynomial, gamma, budget: Budget = UNLIMITED) -> SymPolynomia
             budget.charge(len(terms))
             if not terms:
                 return F._bare({})
-            packed = ((m, c, _unpack(m, width)) for m, c in terms.items())
+            packed = ((m, c, _unpack(m, table)) for m, c in terms.items())
     return _from_packed(F, terms, width)
 
 

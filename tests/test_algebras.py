@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_derivation
+from conftest import TripClock, random_derivation
 from cartaninv import algebras
 from cartaninv.algebras import (
     CartanAlgebra,
@@ -17,7 +17,12 @@ from cartaninv.algebras import (
     filtration_basis,
 )
 from cartaninv.dividedpowers import DPPolynomial, dp_basis
-from cartaninv.errors import ClosureError, NotInSpanError, ParameterError
+from cartaninv.errors import (
+    BudgetExceededError,
+    ClosureError,
+    NotInSpanError,
+    ParameterError,
+)
 from cartaninv.modular import FieldParams
 from cartaninv.pipeline import lambda_of_variable
 from cartaninv.serialize import dumps_canonical, sc_document
@@ -295,15 +300,35 @@ def test_build_hbar_checks_closure_once(monkeypatch, params3):
     checked = []
     verify = CartanAlgebra._verify_closure
 
-    def counted(self):
+    def counted(self, *args):
         checked.append(self.kind)
-        return verify(self)
+        return verify(self, *args)
 
     monkeypatch.setattr(CartanAlgebra, "_verify_closure", counted)
     build_hbar(params3)
     assert checked == ["Hbar"]
     build_h(params3)  # on its own, H keeps the full check
     assert checked == ["Hbar", "H"]
+
+
+@pytest.mark.parametrize("kind, p, n, rows", [("W", 3, 2, 1), ("S", 5, 2, 1),
+                                              ("S", 3, 3, 2), ("H", 5, 2, 1),
+                                              ("Hbar", 5, 2, 1)])
+def test_build_checkpoints_once_per_row(kind, p, n, rows):
+    # one checkpoint per row i of the closure check (and, for S at n >= 3, of
+    # the builder's own bracket table), never one per pair (i, j)
+    params = FieldParams(p, n, (1,) * n)
+    clock = TripClock()
+    alg = algebras.build(kind, params, budget=clock)
+    assert clock.checkpoints == rows * alg.dim
+    for trip in (1, clock.checkpoints):
+        with pytest.raises(BudgetExceededError) as exc:
+            algebras.build(kind, params, budget=TripClock(trip))
+        names = [entry.name for entry in exc.traceback]
+        assert ("_verify_closure" in names) == (trip > (rows - 1) * alg.dim)
+    clock = TripClock()
+    algebras.build(kind, params, verify=False, budget=clock)
+    assert clock.checkpoints == (rows - 1) * alg.dim
 
 
 @pytest.mark.parametrize("p, n, m", [(3, 2, (1, 1)), (5, 2, (1, 1)), (7, 2, (1, 1)),

@@ -304,6 +304,29 @@ def test_independence_report_checkpoints(results_p5):
             independence_report(records, TripClock(trip))
 
 
+def test_independence_report_reads_each_degree_once(results_p5, monkeypatch):
+    records = [results_p5[i].record for i in (2, 4, 6)]
+    want = independence_report(records)
+    walked = []
+    degree = SymPolynomial.homogeneous_degree
+
+    def counted(F):
+        walked.append(F)
+        return degree(F)
+
+    monkeypatch.setattr(SymPolynomial, "homogeneous_degree", counted)
+    assert independence_report(records) == want
+    assert len(walked) == len(records)
+
+
+def test_sweep_budget_trip_in_the_algebra_build():
+    report = conjecture_sweep(5, TripClock(1))
+    assert report.results == () and report.records == ()
+    assert not report.completed and report.independent_count == 0
+    assert report.note == ("budget exhausted in the algebra build: "
+                           "stub budget tripped")
+
+
 def test_sweep_budget_trip_in_the_rank_test(sweep_p5_checkpoints):
     # the last checkpoint of the sweep guards the rank test's insert
     report = conjecture_sweep(5, TripClock(sweep_p5_checkpoints))

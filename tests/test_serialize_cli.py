@@ -1,15 +1,18 @@
 import hashlib
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from conftest import TripClock, random_poly
-from cartaninv import cli, pipeline, serialize
+from cartaninv import algebras, cli, errors, pipeline, serialize
 from cartaninv.cli import EX_BUDGET, EX_FAIL, EX_OK, EX_USAGE, main
 from cartaninv.errors import Budget, SerializationError
 from cartaninv.symalg import SymPolynomial
@@ -537,8 +540,10 @@ def trip_first_checkpoint(monkeypatch):
     monkeypatch.setattr(cli, "Budget", _budget_factory(trip=1))
 
 
-def test_cli_store_hit_honours_the_budget(tmp_path, capsys, results_p5,
+def test_cli_store_hit_honours_the_budget(tmp_path, capsys, hbar_p5, results_p5,
                                           trip_first_checkpoint):
+    # Hbar comes from the sc cache, so the first checkpoint is the record's
+    serialize.save_structure_constants(tmp_path, hbar_p5)
     serialize.save_record(tmp_path, results_p5[4].record)
     argv = ["invariant-compute", "--p", "5", "--power", "4", "--store", str(tmp_path)]
     assert main(argv + ["--max-seconds", "60"]) == EX_BUDGET
@@ -547,8 +552,9 @@ def test_cli_store_hit_honours_the_budget(tmp_path, capsys, results_p5,
     assert "verified against store" in capsys.readouterr().out
 
 
-def test_cli_independence_honours_the_budget(tmp_path, capsys, results_p5,
+def test_cli_independence_honours_the_budget(tmp_path, capsys, hbar_p5, results_p5,
                                              trip_first_checkpoint):
+    serialize.save_structure_constants(tmp_path, hbar_p5)
     for result in results_p5.values():
         serialize.save_record(tmp_path, result.record)
     assert main(["independence", "--p", "5", "--store", str(tmp_path), "--labels",
@@ -565,6 +571,51 @@ def test_cli_conjecture_budget_trip_in_the_rank_test(capsys, monkeypatch,
         "power 2", "power 4", "power 6"]
     assert "independent invariants: 0, external index value: 3, match: no" in out
     assert err.startswith("partial results: budget exhausted in the independence test")
+
+
+def test_cli_conjecture_budget_bounds_the_closure_check(capsys, monkeypatch):
+    # a stub clock that advances one second per bracket of the closure check
+    now = [0.0]
+    bracket = algebras._bracket_vector
+
+    def timed(*args):
+        now[0] += 1
+        return bracket(*args)
+
+    monkeypatch.setattr(errors.time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(algebras, "_bracket_vector", timed)
+    assert main(["conjecture", "--p", "13", "--max-seconds", "1000"]) == EX_BUDGET
+    out, err = capsys.readouterr()
+    assert err.startswith("partial results: budget exhausted in the algebra build")
+    assert "independent invariants: 0, external index value: 11, match: no" in out
+    # the trip is the first row checkpoint past the deadline: at most one row,
+    # dim - 1 brackets, late
+    dim = 13 ** 2 - 1
+    assert 1000 < now[0] <= 1000 + dim - 1
+
+
+def test_cli_invariant_verify_honours_the_budget(tmp_path, capsys, monkeypatch,
+                                                 hbar_p5, results_p5):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(serialize.record_to_document(results_p5[4].record)))
+    clocks = []
+
+    def counting(max_terms=None, max_seconds=None):
+        clocks.append(TripClock())
+        return clocks[-1]
+
+    monkeypatch.setattr(cli, "Budget", counting)
+    assert main(["invariant-verify", str(path)]) == EX_OK
+    total = clocks[0].checkpoints
+    assert total > hbar_p5.dim  # the closure check's rows, then verify()'s
+    # the first and last checkpoint of the build, then of verify()
+    for trip in (1, hbar_p5.dim, hbar_p5.dim + 1, total):
+        monkeypatch.setattr(cli, "Budget", _budget_factory(trip))
+        assert main(["invariant-verify", str(path), "--max-seconds", "60"]) == EX_BUDGET
+        assert "budget exceeded" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "Budget", Budget)
+    assert main(["invariant-verify", str(path), "--max-terms", "1"]) == EX_BUDGET
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("fail_at", ["write", "replace"])
@@ -595,12 +646,28 @@ def test_cli_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_python_m_cartaninv_runs_the_cli():
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "cartaninv", *argv],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == EX_OK and shown.stdout.startswith("usage: cartaninv")
+    refused = run("basis", "--bogus")
+    assert refused.returncode == EX_USAGE
+    assert "unrecognized arguments: --bogus" in refused.stderr
+
+
 CLI_FLAGS = {
     "basis": {"--algebra", "--p", "--n", "--m", "--output", "--store"},
     "bracket-table": {"--algebra", "--p", "--n", "--m", "--output", "--store"},
     "invariant-compute": {"--p", "--n", "--m", "--output", "--store", "--max-terms",
                           "--max-seconds", "--power"},
-    "invariant-verify": set(),
+    "invariant-verify": {"--max-terms", "--max-seconds"},
     "generator-check": {"--algebra", "--p", "--n", "--m", "--store", "--ring",
                         "--var", "--poly"},
     "independence": {"--p", "--n", "--m", "--store", "--max-terms", "--max-seconds",
