@@ -6,7 +6,6 @@ invariant series for the rank-two Hamiltonian algebra."""
 from .algebras import (
     BasisElement,
     CartanAlgebra,
-    Derivation,
     bracket,
     build,
     build_h,
@@ -16,7 +15,6 @@ from .algebras import (
     decompose,
     filtration_basis,
 )
-from .dividedpowers import DPPolynomial, dp_basis
 from .errors import (
     Budget,
     BudgetExceededError,
@@ -28,10 +26,9 @@ from .errors import (
 from .modular import (
     FieldParams,
     delta_of,
+    dp_basis,
     mi_add,
-    mi_leq,
     mi_sub,
-    multi_binom,
 )
 from .pipeline import (
     DeltaStarResult,
@@ -54,7 +51,6 @@ from .symalg import (
     ad_partial,
     check_generator_sh,
     check_generator_w,
-    commutation_expansion_check,
     d_delta,
     d_gamma,
     is_invariant,
@@ -68,9 +64,7 @@ __all__ = [
     "BudgetExceededError",
     "CartanAlgebra",
     "ClosureError",
-    "DPPolynomial",
     "DeltaStarResult",
-    "Derivation",
     "FieldParams",
     "GeneratorCheck",
     "IndependenceReport",
@@ -91,7 +85,6 @@ __all__ = [
     "build_w",
     "check_generator_sh",
     "check_generator_w",
-    "commutation_expansion_check",
     "compute_delta",
     "conjecture_sweep",
     "d_delta",
@@ -105,9 +98,7 @@ __all__ = [
     "is_invariant",
     "lambda_homogeneity",
     "mi_add",
-    "mi_leq",
     "mi_sub",
-    "multi_binom",
     "phi_normalize",
     "restrict_u_zero",
 ]

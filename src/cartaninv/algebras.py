@@ -28,12 +28,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .dividedpowers import DPPolynomial, dp_basis
 from .errors import UNLIMITED, Budget, ClosureError, NotInSpanError, ParameterError
 from .gflinalg import SpanSolver
 from .modular import (
     FieldParams,
     delta_of,
+    dp_basis,
     mi_add,
     mi_sub,
     multi_binom_int,
@@ -41,106 +41,13 @@ from .modular import (
 )
 
 
-class Derivation:
-    """Special derivation sum f_i d_i with divided-power coefficients."""
-
-    __slots__ = ("params", "coeffs")
-
-    def __init__(self, params: FieldParams, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != params.n:
-            raise ParameterError("need one coefficient per variable")
-        self.params = params
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, params):
-        return cls(params, [DPPolynomial.zero(params)] * params.n)
-
-    @classmethod
-    def partial(cls, params, axis: int):
-        cs = [DPPolynomial.zero(params)] * params.n
-        cs[axis] = DPPolynomial.one(params)
-        return cls(params, cs)
-
-    @classmethod
-    def monomial(cls, params, alpha, axis, coeff=1):
-        cs = [DPPolynomial.zero(params)] * params.n
-        cs[axis] = DPPolynomial.monomial(params, alpha, coeff)
-        return cls(params, cs)
-
-    def apply(self, f: DPPolynomial) -> DPPolynomial:
-        """The operator sum f_i d_i applied to f.
-
-        The operator-level path, independent of ``_bracket_vector``: the tests
-        check ``bracket`` against the commutator of two ``apply`` calls, and
-        they are its only callers.
-        """
-        out = DPPolynomial.zero(self.params)
-        for i, fi in enumerate(self.coeffs):
-            if fi:
-                df = f.partial(i)
-                if df.terms:
-                    out = out + fi * df
-        return out
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Derivation)
-            and self.params == other.params
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __add__(self, other):
-        return Derivation(self.params, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        return Derivation(self.params, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return Derivation(self.params, [-c for c in self.coeffs])
-
-    def scale(self, c: int) -> "Derivation":
-        return Derivation(self.params, [f.scale(c) for f in self.coeffs])
-
-    def __repr__(self):
-        bits = [f"({f!r})d_{i + 1}" for i, f in enumerate(self.coeffs) if f]
-        return " + ".join(bits) if bits else "0"
-
-
-def bracket(d1: Derivation, d2: Derivation) -> Derivation:
-    """Commutator [d1, d2], by the vector rule ``_bracket_vector``."""
-    if d1.params != d2.params:
-        raise ParameterError("parameter mismatch between derivations")
-    params = d1.params
-    vec = _bracket_vector(_derivation_vector(d1), _derivation_vector(d2), params)
-    coeffs = [{} for _ in range(params.n)]
-    for (axis, alpha), c in vec.items():
-        coeffs[axis][alpha] = c
-    return Derivation(params, [DPPolynomial(params, t) for t in coeffs])
-
-
 class BasisElement(NamedTuple):
     label: str
-    derivation: Derivation
+    vector: dict  # the derivation sum c x^(alpha) d_axis as {(axis, alpha): c}
     grade: int
 
 
-def _derivation_vector(d: Derivation):
-    """A derivation as the sparse vector {(axis, alpha): coeff}."""
-    return {(ax, alpha): c for ax, f in enumerate(d.coeffs)
-            for alpha, c in f.terms.items()}
-
-
-def _bracket_vector(u, v, params):
+def bracket(u, v, params):
     """[u, v] of two derivations given as sparse vectors {(axis, alpha): coeff}.
 
     The k-th coefficient is sum_i (f_i d_i g_k - g_i d_i f_k), where
@@ -272,14 +179,15 @@ class CartanAlgebra:
         if self._solver is None:
             solver = SpanSolver(self.params.p)
             for b in self.basis:
-                if not solver.insert(_derivation_vector(b.derivation)):
+                if not solver.insert(b.vector):
                     raise ClosureError(f"stored basis of {self.kind} is dependent")
             self._solver = solver
         return self._solver
 
     def _locate_partial(self, axis):
         """(index, +1 or -1): d_axis is one signed basis element."""
-        (i, c), *rest = decompose(Derivation.partial(self.params, axis), self).items()
+        unit = {(axis, (0,) * self.params.n): 1}
+        (i, c), *rest = decompose(unit, self).items()
         if rest or c not in (1, self.params.p - 1):
             raise ClosureError(f"d_{axis + 1} is not a signed basis element")
         return (i, 1 if c == 1 else -1)
@@ -290,11 +198,11 @@ class CartanAlgebra:
         ``budget.checkpoint()`` runs once per row i, before its pairs (i, j)."""
         p = self.params.p
         solver = self._get_solver()
-        vecs = [_derivation_vector(b.derivation) for b in self.basis]
+        vecs = [b.vector for b in self.basis]
         for i in range(self.dim):
             budget.checkpoint()
             for j in range(i + 1, self.dim):
-                coords = solver.solve(_bracket_vector(vecs[i], vecs[j], self.params))
+                coords = solver.solve(bracket(vecs[i], vecs[j], self.params))
                 if coords is None:
                     raise ClosureError(
                         f"[{self.basis[i].label}, {self.basis[j].label}] "
@@ -316,12 +224,12 @@ class CartanAlgebra:
                         )
 
 
-def decompose(d: Derivation, algebra: CartanAlgebra):
-    """Coordinates of a derivation in the ordered basis, over F_p: the sparse
-    map {basis index: nonzero residue}, in ascending index order."""
-    if d.params != algebra.params:
-        raise ParameterError("derivation parameters do not match the algebra")
-    sol = algebra._get_solver().solve(_derivation_vector(d))
+def decompose(vec, algebra: CartanAlgebra):
+    """Coordinates of a derivation vector {(axis, alpha): coeff} in the ordered
+    basis, over F_p: the sparse map {basis index: nonzero residue}, in
+    ascending index order.  A vector with a key no basis element holds, such
+    as an axis >= n or an alpha past delta, lies outside the span."""
+    sol = algebra._get_solver().solve(vec)
     if sol is None:
         raise NotInSpanError(f"derivation outside the span of {algebra.kind}")
     return sol
@@ -345,14 +253,12 @@ def build_w(params: FieldParams, verify: bool = True,
     """General algebra: all x^(a) d_i, dimension n p^(m_1+..+m_n)."""
     delta = delta_of(params)
     keys = [(alpha, ax) for alpha in dp_basis(params) for ax in range(params.n)]
-    basis = [
-        BasisElement(_w_label(a, ax), Derivation.monomial(params, a, ax), sum(a) - 1)
-        for a, ax in keys
-    ]
+    basis = [BasisElement(_w_label(a, ax), {(ax, a): 1}, sum(a) - 1) for a, ax in keys]
     pos = {k: i for i, k in enumerate(keys)}
     eps = [tuple(1 if t == ax else 0 for t in range(params.n)) for ax in range(params.n)]
     rows = {}
     for i, (a, ai) in enumerate(keys):
+        budget.checkpoint()
         for j in range(i + 1, len(keys)):
             b, aj = keys[j]
             out = {}
@@ -391,13 +297,10 @@ def hamiltonian_field(params, alpha, scaled):
     The form is the standard one: x_{2k} pairs with x_{2k+1}, and the field of
     f is the sum of d_{2k}(f) d_{2k+1} - d_{2k+1}(f) d_{2k} over the pairs.
     """
-    d = Derivation.zero(params)
-    for i in range(params.n):
-        if alpha[i] == 0:
-            continue
-        low = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        d = d + Derivation.monomial(params, low, i ^ 1, -1 if i % 2 else 1)
-    return d.scale(_multi_factorial(alpha)) if scaled else d
+    c = _multi_factorial(alpha) if scaled else 1  # a unit mod p: each a_i < p
+    p = params.p
+    return {(i ^ 1, alpha[:i] + (a - 1,) + alpha[i + 1:]): (-c if i % 2 else c) % p
+            for i, a in enumerate(alpha) if a}
 
 
 def _multi_factorial(alpha):
@@ -424,9 +327,10 @@ def _ham_pair_coeff(a, b, i, j, delta, scaled):
     return g, c
 
 
-def _build_hamiltonian(params, scaled):
+def _build_hamiltonian(params, scaled, budget=UNLIMITED):
     """Hbar's basis and integer rows, in the monomial (``scaled``) or divided
-    basis; the top element, the field of delta, is the last basis element."""
+    basis; the top element, the field of delta, is the last basis element.
+    ``budget.checkpoint()`` runs once per row i, before its pairs (i, j)."""
     delta = delta_of(params)
     alphas = [a for a in dp_basis(params) if any(a)]
     basis = [
@@ -439,6 +343,7 @@ def _build_hamiltonian(params, scaled):
     pairs = [(s, s + 1) for s in range(0, params.n, 2)]
     rows = {}
     for i, a in enumerate(alphas):
+        budget.checkpoint()
         for j in range(i + 1, len(alphas)):
             b = alphas[j]
             out = {}
@@ -480,7 +385,7 @@ def build_h(params: FieldParams, verify: bool = True,
             budget: Budget = UNLIMITED) -> CartanAlgebra:
     """Hamiltonian algebra: fields of monomials for 0 < a < delta."""
     validate_for_kind(params, "H")
-    return _h_from_hbar(params, *_build_hamiltonian(params, _scaled(params)),
+    return _h_from_hbar(params, *_build_hamiltonian(params, _scaled(params), budget),
                         verify=verify, budget=budget)
 
 
@@ -488,7 +393,7 @@ def build_hbar(params: FieldParams, verify: bool = True,
                budget: Budget = UNLIMITED) -> CartanAlgebra:
     """Extension of H by the top field u (the field of the monomial at delta)."""
     validate_for_kind(params, "Hbar")
-    basis, rows = _build_hamiltonian(params, _scaled(params))
+    basis, rows = _build_hamiltonian(params, _scaled(params), budget)
     # Hbar's closure check covers every H bracket, so H is not checked again
     sub = _h_from_hbar(params, basis, rows, verify=False)
     return CartanAlgebra("Hbar", params, basis, rows, h_subalgebra=sub,
@@ -502,13 +407,12 @@ def _s_label(alpha, i, j):
 
 
 def _s_field(params, alpha, i, j):
-    d = Derivation.zero(params)
+    """D_{i,j}(alpha) = d_i(x^(alpha)) d_j - d_j(x^(alpha)) d_i as a vector."""
+    d = {}
     if alpha[i]:
-        low = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        d = d + Derivation.monomial(params, low, j)
+        d[(j, alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:])] = 1
     if alpha[j]:
-        low = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-        d = d - Derivation.monomial(params, low, i)
+        d[(i, alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:])] = params.p - 1
     return d
 
 
@@ -519,7 +423,7 @@ def build_s(params: FieldParams, verify: bool = True,
     if params.n == 2:
         # D_{1,2}(a) is the divided Hamiltonian field D(a): Hbar_2's table,
         # relabelled from D(a) to D_{1,2}(a)
-        basis, rows = _build_hamiltonian(params, scaled=False)
+        basis, rows = _build_hamiltonian(params, False, budget)
         basis = [b._replace(label="D_{1,2}" + b.label[1:]) for b in basis]
         return CartanAlgebra("S", params, basis, rows, verify=verify,
                              budget=budget)
@@ -536,12 +440,12 @@ def build_s(params: FieldParams, verify: bool = True,
                 d = _s_field(params, alpha, i, j)
                 if not d:
                     continue
-                if solver.insert(_derivation_vector(d)):
+                if solver.insert(d):
                     chosen.append((alpha, i, j, d))
     basis = [
         BasisElement(_s_label(a, i, j), d, sum(a) - 2) for a, i, j, d in chosen
     ]
-    vecs = [_derivation_vector(b.derivation) for b in basis]
+    vecs = [b.vector for b in basis]
     basis_solver = SpanSolver(p)
     for vec in vecs:
         basis_solver.insert(vec)
@@ -549,7 +453,7 @@ def build_s(params: FieldParams, verify: bool = True,
     for i in range(len(basis)):
         budget.checkpoint()
         for j in range(i + 1, len(basis)):
-            sol = basis_solver.solve(_bracket_vector(vecs[i], vecs[j], params))
+            sol = basis_solver.solve(bracket(vecs[i], vecs[j], params))
             if sol is None:
                 raise ClosureError("S bracket left the computed span")
             row = tuple(sorted((k, c) for k, c in sol.items() if c))
@@ -564,7 +468,8 @@ _BUILDERS = {"W": build_w, "S": build_s, "H": build_h, "Hbar": build_hbar}
 
 def build(kind: str, params: FieldParams, verify: bool = True,
           budget: Budget = UNLIMITED):
-    """Dispatch on the algebra kind tag; ``budget`` bounds the closure check."""
+    """Dispatch on the algebra kind tag; ``budget`` bounds the structure-constant
+    table and the closure check, one checkpoint per row."""
     if kind not in _BUILDERS:
         raise ParameterError(f"unknown algebra kind {kind!r}")
     return _BUILDERS[kind](params, verify=verify, budget=budget)

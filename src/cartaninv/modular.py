@@ -1,4 +1,5 @@
-"""Prime-field scalars, binomials mod p and bounded multi-index arithmetic.
+"""Field parameters, exact binomials, the divided-power monomial basis and
+bounded multi-index arithmetic.
 
 Multi-indices are plain tuples of non-negative ints.  Every index that refers
 to a truncated algebra is bounded componentwise by delta_i = p^{m_i} - 1.
@@ -75,6 +76,19 @@ def delta_of(params: FieldParams) -> MultiIndex:
     return tuple(params.p ** mi - 1 for mi in params.m)
 
 
+@lru_cache(maxsize=None)
+def dp_basis(params: FieldParams):
+    """All multi-indices alpha <= delta, ordered by (|alpha|, lex).
+
+    This order is the canonical basis order used everywhere downstream.
+    """
+    idxs = [()]
+    for d in delta_of(params):
+        idxs = [t + (i,) for t in idxs for i in range(d + 1)]
+    idxs.sort(key=lambda a: (sum(a), a))
+    return tuple(idxs)
+
+
 def multi_binom_int(alpha: MultiIndex, beta: MultiIndex) -> int:
     """Exact integer product of componentwise binomials (the Z-lift)."""
     r = 1
@@ -83,13 +97,6 @@ def multi_binom_int(alpha: MultiIndex, beta: MultiIndex) -> int:
             return 0
         r *= math.comb(a, b)
     return r
-
-
-def multi_binom(alpha: MultiIndex, beta: MultiIndex, p: int) -> int:
-    """Componentwise binomial product mod p: the exact product reduced."""
-    if len(alpha) != len(beta):
-        raise ValueError("multi-index length mismatch")
-    return multi_binom_int(alpha, beta) % p
 
 
 def mi_add(alpha: MultiIndex, beta: MultiIndex, delta: MultiIndex):
@@ -108,10 +115,6 @@ def mi_sub(alpha: MultiIndex, beta: MultiIndex):
     if any(o < 0 for o in out):
         return None
     return out
-
-
-def mi_leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
-    return all(a <= b for a, b in zip(alpha, beta))
 
 
 def p_valuation(x: int, p: int) -> int:

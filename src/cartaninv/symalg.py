@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebras import CartanAlgebra, Derivation, bracket, decompose, filtration_basis
-from .dividedpowers import dp_basis
+from .algebras import CartanAlgebra, filtration_basis
 from .errors import UNLIMITED, Budget, ParameterError
-from .modular import delta_of, multi_binom_int
+from .modular import delta_of
 
 RINGS = ("int", "modp")
 
@@ -321,8 +320,9 @@ def _from_packed(F: SymPolynomial, packed: dict, width: int) -> SymPolynomial:
 
 def ad_action(b, F: SymPolynomial) -> SymPolynomial:
     """The derivation of S(L) extending ad(b); b is a basis index or a
-    Derivation in the span, applied in one pass over its coordinates."""
-    element = [(b, 1)] if isinstance(b, int) else decompose(b, F.algebra).items()
+    coordinate map {basis index: coeff}, such as ``decompose`` returns,
+    applied in one pass over its coordinates."""
+    element = [(b, 1)] if isinstance(b, int) else b.items()
     width = _width(F)
     return _from_packed(F, _ad_pass(F, element, width, _pack_terms(F, width)), width)
 
@@ -453,42 +453,3 @@ def check_generator_sh(F: SymPolynomial) -> GeneratorCheck:
     fails = _filtration_failures(F, 0)
     return GeneratorCheck(not fails, tuple(fails))
 
-
-def commutation_expansion_check(D: Derivation, F: SymPolynomial) -> bool:
-    """Verify ad(D) d^(delta) F = sum_g (-1)^|g| C(delta,g) d^(delta-g) ad(d^(g) D) F.
-
-    Here d^(g)(D) is the g-fold iterated bracket of D with the coordinate
-    derivations, an element of the algebra.  Deep consistency test tying
-    together the bracket, the structure constants and the operator calculus.
-    """
-    alg = F.algebra
-    if F.ring != "modp":
-        raise ParameterError("the expansion identity is a mod-p statement")
-    params = alg.params
-    delta = delta_of(params)
-    lhs = ad_action(D, d_delta(F))
-    partials = [Derivation.partial(params, axis) for axis in range(params.n)]
-    iterated = {(0,) * params.n: D}
-
-    def it_bracket(gamma):
-        got = iterated.get(gamma)
-        if got is None:
-            axis = next(i for i, g in enumerate(gamma) if g > 0)
-            prev = gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1:]
-            got = bracket(partials[axis], it_bracket(prev))
-            iterated[gamma] = got
-        return got
-
-    rhs = SymPolynomial.zero(alg, F.ring)
-    for gamma in dp_basis(params):
-        dg = it_bracket(gamma)
-        if dg.is_zero():
-            continue
-        inner = ad_action(dg, F)
-        if not inner:
-            continue
-        rest = tuple(d - g for d, g in zip(delta, gamma))
-        term = d_gamma(inner, rest)
-        sign = -1 if sum(gamma) % 2 else 1
-        rhs = rhs + term.scale(sign * multi_binom_int(delta, gamma))
-    return lhs == rhs

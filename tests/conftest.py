@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from cartaninv.algebras import build_hbar, build_s, build_w
-from cartaninv.errors import BudgetExceededError
-from cartaninv.modular import FieldParams
+from cartaninv.algebras import bracket, build_hbar, build_s, build_w, decompose
+from cartaninv.errors import BudgetExceededError, ParameterError
+from cartaninv.modular import FieldParams, delta_of, dp_basis, mi_add, multi_binom_int
 from cartaninv.pipeline import conjecture_sweep, delta_star
-from cartaninv.symalg import SymPolynomial
+from cartaninv.symalg import SymPolynomial, ad_action, d_delta, d_gamma
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,13 +76,117 @@ def ad_index_oracle(F, idx, sign=1):
     return SymPolynomial(alg, F.ring, out)
 
 
+def vec_sum(p, *terms):
+    """sum c * vec over the (c, vec) pairs: a sparse vector of nonzero
+    residues mod p, for derivation vectors and coordinate maps alike."""
+    out = {}
+    for c, vec in terms:
+        for k, x in vec.items():
+            out[k] = (out.get(k, 0) + c * x) % p
+    return {k: x for k, x in out.items() if x}
+
+
 def random_derivation(rng, algebra):
-    out = None
+    """A random element of the algebra's span, as a derivation vector."""
+    terms = []
     for _ in range(rng.randint(1, 3)):
-        b = algebra.basis[rng.randrange(algebra.dim)].derivation
-        b = b.scale(rng.randrange(1, algebra.params.p))
-        out = b if out is None else out + b
+        b = algebra.basis[rng.randrange(algebra.dim)].vector
+        terms.append((rng.randrange(1, algebra.params.p), b))
+    return vec_sum(algebra.params.p, *terms)
+
+
+# -- the operator-level oracle ------------------------------------------------
+#
+# A divided-power polynomial is a dict {alpha: residue}, and a derivation is
+# the vector {(axis, alpha): residue} that stands for sum c x^(alpha) d_axis.
+# These functions apply a derivation to a polynomial by the product rule
+# x^(a) x^(b) = C(a+b, a) x^(a+b), zero past delta, and the special
+# derivative d_i x^(a) = x^(a - e_i).  They never call ``bracket``: the tests
+# compare ``bracket`` with the commutator of two ``dp_apply`` calls.
+
+def dp_poly(params, terms):
+    """{alpha: c} reduced mod p with the zero terms dropped; an index of the
+    wrong length or past delta raises ParameterError."""
+    delta = delta_of(params)
+    out = {}
+    for alpha, c in terms.items():
+        if c % params.p:
+            if len(alpha) != params.n or any(a > d for a, d in zip(alpha, delta)):
+                raise ParameterError(f"index {alpha} out of range for delta={delta}")
+            out[alpha] = c % params.p
     return out
+
+
+def dp_add(params, *terms):
+    """sum c * f over the (c, f) pairs."""
+    return dp_poly(params, vec_sum(params.p, *terms))
+
+
+def dp_mul(params, f, g):
+    """The divided-power product; terms beyond delta vanish."""
+    f, g = dp_poly(params, f), dp_poly(params, g)
+    delta = delta_of(params)
+    out = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            s = mi_add(a, b, delta)
+            if s is not None:
+                out[s] = out.get(s, 0) + ca * cb * (multi_binom_int(s, a) % params.p)
+    return dp_poly(params, out)
+
+
+def dp_partial(params, f, axis):
+    """The special derivative d_axis (0-based axis)."""
+    if not 0 <= axis < params.n:
+        raise ParameterError(f"axis {axis} out of range for n={params.n}")
+    return {a[:axis] + (a[axis] - 1,) + a[axis + 1:]: c
+            for a, c in dp_poly(params, f).items() if a[axis]}
+
+
+def dp_apply(params, vec, f):
+    """The derivation sum c x^(alpha) d_axis of ``vec`` applied to f."""
+    return dp_add(params, *((1, dp_mul(params, {alpha: c}, dp_partial(params, f, axis)))
+                            for (axis, alpha), c in vec.items()))
+
+
+def commutation_expansion_check(D, F):
+    """Verify ad(D) d^(delta) F = sum_g (-1)^|g| C(delta,g) d^(delta-g) ad(d^(g) D) F
+    for a derivation vector D in the span of F's algebra.
+
+    Here d^(g)(D) is the g-fold iterated bracket of D with the coordinate
+    derivations, an element of the algebra.  Deep consistency test tying
+    together the bracket, the structure constants and the operator calculus.
+    """
+    alg = F.algebra
+    assert F.ring == "modp", "the expansion identity is a mod-p statement"
+    params = alg.params
+    delta = delta_of(params)
+    lhs = ad_action(decompose(D, alg), d_delta(F))
+    partials = [{(axis, (0,) * params.n): 1} for axis in range(params.n)]
+    iterated = {(0,) * params.n: D}
+
+    def it_bracket(gamma):
+        got = iterated.get(gamma)
+        if got is None:
+            axis = next(i for i, g in enumerate(gamma) if g > 0)
+            prev = gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1:]
+            got = bracket(partials[axis], it_bracket(prev), params)
+            iterated[gamma] = got
+        return got
+
+    rhs = SymPolynomial.zero(alg, F.ring)
+    for gamma in dp_basis(params):
+        dg = it_bracket(gamma)
+        if not dg:
+            continue
+        inner = ad_action(decompose(dg, alg), F)
+        if not inner:
+            continue
+        rest = tuple(d - g for d, g in zip(delta, gamma))
+        term = d_gamma(inner, rest)
+        sign = -1 if sum(gamma) % 2 else 1
+        rhs = rhs + term.scale(sign * multi_binom_int(delta, gamma))
+    return lhs == rhs
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from conftest import TripClock, random_derivation
+from conftest import TripClock, dp_add, dp_apply, dp_partial, random_derivation, vec_sum
 from cartaninv import algebras
 from cartaninv.algebras import (
     CartanAlgebra,
-    Derivation,
     bracket,
     build_h,
     build_hbar,
@@ -16,14 +15,13 @@ from cartaninv.algebras import (
     decompose,
     filtration_basis,
 )
-from cartaninv.dividedpowers import DPPolynomial, dp_basis
 from cartaninv.errors import (
     BudgetExceededError,
     ClosureError,
     NotInSpanError,
     ParameterError,
 )
-from cartaninv.modular import FieldParams
+from cartaninv.modular import FieldParams, dp_basis
 from cartaninv.pipeline import lambda_of_variable
 from cartaninv.serialize import dumps_canonical, sc_document
 
@@ -95,26 +93,21 @@ def test_hbar_p5_top(hbar_p5):
 
 def test_bracket_examples(w2_p3, hbar_p3):
     params = w2_p3.params
-    d1 = Derivation.partial(params, 0)
-    d2 = Derivation.partial(params, 1)
-    assert bracket(d1, d2).is_zero()
-    m = Derivation.monomial(params, (2, 0), 0)
-    assert bracket(d1, m) == Derivation.monomial(params, (1, 0), 0)
+    d1, d2 = {(0, (0, 0)): 1}, {(1, (0, 0)): 1}
+    assert bracket(d1, d2, params) == {}
+    assert bracket(d1, {(0, (2, 0)): 1}, params) == {(0, (1, 0)): 1}
     # [D((1,1)), D((2,0))] is a scalar multiple of D((2,0)): here -2 u_{2,0}
     i, j = hbar_p3.index["u_{1,1}"], hbar_p3.index["u_{2,0}"]
     assert hbar_p3.row_int(i, j) == ((hbar_p3.index["u_{2,0}"], -2),)
-    br = bracket(hbar_p3.basis[i].derivation, hbar_p3.basis[j].derivation)
+    br = bracket(hbar_p3.basis[i].vector, hbar_p3.basis[j].vector, params)
     assert decompose(br, hbar_p3) == {hbar_p3.index["u_{2,0}"]: 1}
 
 
 def _random_field(rng, params):
-    """A derivation with random divided-power coefficients on every axis."""
+    """A derivation vector with random divided-power coefficients on every axis."""
     monos = dp_basis(params)
-    return Derivation(params, [
-        DPPolynomial(params, {rng.choice(monos): rng.randrange(1, params.p)
-                              for _ in range(rng.randint(1, 4))})
-        for _ in range(params.n)
-    ])
+    return {(ax, rng.choice(monos)): rng.randrange(1, params.p)
+            for ax in range(params.n) for _ in range(rng.randint(1, 4))}
 
 
 def test_bracket_is_the_operator_commutator():
@@ -124,23 +117,26 @@ def test_bracket_is_the_operator_commutator():
     for kind, p, m in [("W", 3, (1, 1)), ("W", 3, (2,)), ("S", 5, (1, 1)),
                        ("Hbar", 5, (1, 1)), ("H", 3, (2, 1))]:
         params = FieldParams(p, len(m), m)
-        alg = algebras.build(kind, params)
+        # unverified: the closure check calls ``bracket`` too, and the oracle
+        # alone must catch a wrong rule
+        alg = algebras.build(kind, params, verify=False)
         for trial in range(10):
             d1, d2 = _random_field(rng, params), _random_field(rng, params)
             if trial % 2:
-                d1 = d1 + random_derivation(rng, alg)
-            br = bracket(d1, d2)
+                d1 = vec_sum(p, (1, d1), (1, random_derivation(rng, alg)))
+            br = bracket(d1, d2, params)
             for alpha in dp_basis(params):
-                f = DPPolynomial.monomial(params, alpha)
-                want = d1.apply(d2.apply(f)) - d2.apply(d1.apply(f))
-                assert br.apply(f) == want, (kind, p, m, d1, d2, alpha)
+                f = {alpha: 1}
+                want = dp_add(params, (1, dp_apply(params, d1, dp_apply(params, d2, f))),
+                              (-1, dp_apply(params, d2, dp_apply(params, d1, f))))
+                assert dp_apply(params, br, f) == want, (kind, p, m, d1, d2, alpha)
 
 
 def test_antisymmetry(hbar_p5):
     rng = random.Random(29)
     for _ in range(10):
         d = random_derivation(rng, hbar_p5)
-        assert bracket(d, d).is_zero()
+        assert bracket(d, d, hbar_p5.params) == {}
 
 
 @pytest.mark.parametrize("fix", ["w2_p3", "hbar_p5", "s2_p3"])
@@ -168,12 +164,11 @@ def test_jacobi_small(w1_p3, hbar_p3):
 
 
 def test_decompose(w2_p3, hbar_p3, s2_p3):
-    params = w2_p3.params
-    d1 = Derivation.partial(params, 0)
     # nonzero coordinates only, in ascending index order
-    assert decompose(d1, w2_p3) == {w2_p3.index["x^(0,0)d_1"]: 1}
-    assert decompose(Derivation.zero(params), hbar_p3) == {}
-    d = hbar_p3.basis[5].derivation + hbar_p3.basis[2].derivation.scale(2)
+    assert decompose({(0, (0, 0)): 1}, w2_p3) == {w2_p3.index["x^(0,0)d_1"]: 1}
+    assert decompose({}, hbar_p3) == {}
+    assert decompose({}, w2_p3) == {}
+    d = vec_sum(3, (1, hbar_p3.basis[5].vector), (2, hbar_p3.basis[2].vector))
     assert list(decompose(d, hbar_p3).items()) == [(2, 2), (5, 1)]
     # random bracket rows agree with decompose (self-consistency)
     rng = random.Random(31)
@@ -181,13 +176,16 @@ def test_decompose(w2_p3, hbar_p3, s2_p3):
         i, j = rng.randrange(s2_p3.dim), rng.randrange(s2_p3.dim)
         if i == j:
             continue
-        br = bracket(s2_p3.basis[i].derivation, s2_p3.basis[j].derivation)
+        br = bracket(s2_p3.basis[i].vector, s2_p3.basis[j].vector, s2_p3.params)
         assert decompose(br, s2_p3) == dict(s2_p3.row_mod(i, j))
     # x^(delta) d_1 has divergence x^(delta - e_1) != 0: not in the S span
     with pytest.raises(NotInSpanError):
-        decompose(Derivation.monomial(params, (2, 2), 0), s2_p3)
-    with pytest.raises(ParameterError):
-        decompose(Derivation.partial(FieldParams(5, 2, (1, 1)), 0), w2_p3)
+        decompose({(0, (2, 2)): 1}, s2_p3)
+    # a vector carries no parameters: keys outside W_2(1,1) at p = 3 (alpha past
+    # delta, an axis >= n, an alpha of the wrong length) lie outside its span
+    for key in [(0, (3, 0)), (2, (0, 0)), (0, (0, 0, 0))]:
+        with pytest.raises(NotInSpanError):
+            decompose({key: 1}, w2_p3)
 
 
 @pytest.mark.parametrize("p, n, m", [(3, 1, (2,)), (5, 1, (2,)),
@@ -197,23 +195,17 @@ def test_decompose_w_gives_monomial_coordinates(p, n, m):
 
     def label_coords(d):
         # the W basis is the monomial coordinate system: look each term up
-        coords = {}
-        for ax, f in enumerate(d.coeffs):
-            for alpha, c in f.terms.items():
-                label = "x^(%s)d_%d" % (",".join(map(str, alpha)), ax + 1)
-                coords[alg.index[label]] = c
-        return coords
+        return {alg.index["x^(%s)d_%d" % (",".join(map(str, alpha)), ax + 1)]: c
+                for (ax, alpha), c in d.items()}
 
     for b in alg.basis:
-        assert decompose(b.derivation, alg) == label_coords(b.derivation)
+        assert decompose(b.vector, alg) == label_coords(b.vector)
     rng = random.Random(p * 10 + n)
     monos = dp_basis(alg.params)
     for _ in range(20):
-        d = Derivation(alg.params, [
-            DPPolynomial(alg.params, {a: rng.randrange(p) for a in
-                                      rng.sample(monos, rng.randint(0, len(monos)))})
-            for _ in range(n)
-        ])
+        d = {(ax, a): rng.randrange(p) for ax in range(n)
+             for a in rng.sample(monos, rng.randint(0, len(monos)))}
+        d = {k: c for k, c in d.items() if c}
         assert decompose(d, alg) == label_coords(d)
         d = random_derivation(rng, alg)
         assert decompose(d, alg) == label_coords(d)
@@ -224,8 +216,8 @@ def test_partial_coords(hbar_p3, s2_p3, w2_p3):
     assert hbar_p3.partial_coords == ((0, -1), (1, 1))
     for alg in (hbar_p3, s2_p3, w2_p3):
         for ax, (idx, sign) in enumerate(alg.partial_coords):
-            got = alg.basis[idx].derivation.scale(sign)
-            assert got == Derivation.partial(alg.params, ax)
+            got = vec_sum(alg.params.p, (sign, alg.basis[idx].vector))
+            assert got == {(ax, (0,) * alg.params.n): 1}
 
 
 def test_filtration(hbar_p3):
@@ -315,20 +307,48 @@ def test_build_hbar_checks_closure_once(monkeypatch, params3):
                                               ("S", 3, 3, 2), ("H", 5, 2, 1),
                                               ("Hbar", 5, 2, 1)])
 def test_build_checkpoints_once_per_row(kind, p, n, rows):
-    # one checkpoint per row i of the closure check (and, for S at n >= 3, of
-    # the builder's own bracket table), never one per pair (i, j)
+    # one checkpoint per row i of the closed-form table, of the closure check
+    # and, for S at n >= 3, of build_s's own bracket table, never one per
+    # pair (i, j); ``rows`` counts the passes over the algebra's own basis
     params = FieldParams(p, n, (1,) * n)
+    table = _table_rows(kind, params)
     clock = TripClock()
     alg = algebras.build(kind, params, budget=clock)
-    assert clock.checkpoints == rows * alg.dim
+    assert clock.checkpoints == table + rows * alg.dim
     for trip in (1, clock.checkpoints):
         with pytest.raises(BudgetExceededError) as exc:
             algebras.build(kind, params, budget=TripClock(trip))
         names = [entry.name for entry in exc.traceback]
-        assert ("_verify_closure" in names) == (trip > (rows - 1) * alg.dim)
+        assert ("_verify_closure" in names) == (trip > table + (rows - 1) * alg.dim)
     clock = TripClock()
     algebras.build(kind, params, verify=False, budget=clock)
-    assert clock.checkpoints == (rows - 1) * alg.dim
+    assert clock.checkpoints == table + (rows - 1) * alg.dim
+
+
+def _table_rows(kind, params):
+    """Rows of the build's closed-form table: one per W basis key, and one
+    per alpha of Hbar's table for H, Hbar and S at n = 2; S at n >= 3 has
+    none."""
+    if kind == "S" and params.n > 2:
+        return 0
+    monos = len(dp_basis(params))
+    return monos * params.n if kind == "W" else monos - 1
+
+
+@pytest.mark.parametrize("kind, n, table", [
+    ("W", 2, "build_w"), ("S", 2, "_build_hamiltonian"), ("S", 3, "build_s"),
+    ("H", 2, "_build_hamiltonian"), ("Hbar", 2, "_build_hamiltonian")])
+def test_budget_trips_inside_the_structure_table(kind, n, table):
+    # the first and the last row of the build's table trip inside it,
+    # before the closure check has begun
+    params = FieldParams(3, n, (1,) * n)
+    clock = TripClock()
+    algebras.build(kind, params, verify=False, budget=clock)
+    for trip in (1, clock.checkpoints):
+        with pytest.raises(BudgetExceededError) as exc:
+            algebras.build(kind, params, budget=TripClock(trip))
+        assert exc.traceback[-2].name == table
+        assert "_verify_closure" not in [entry.name for entry in exc.traceback]
 
 
 @pytest.mark.parametrize("p, n, m", [(3, 2, (1, 1)), (5, 2, (1, 1)), (7, 2, (1, 1)),
@@ -348,9 +368,9 @@ def test_build_hbar_builds_the_tables_once(monkeypatch, params3):
     calls = []
     honest = algebras._build_hamiltonian
 
-    def counted(params, scaled):
+    def counted(params, scaled, budget):
         calls.append(params)
-        return honest(params, scaled)
+        return honest(params, scaled, budget)
 
     monkeypatch.setattr(algebras, "_build_hamiltonian", counted)
     hbar = build_hbar(params3)
@@ -365,8 +385,8 @@ def test_top_coefficient_on_an_h_pair_must_vanish_mod_p(monkeypatch, params3,
                                                         top_coeff, rejected):
     honest = algebras._build_hamiltonian
 
-    def tampered(params, scaled):
-        basis, rows = honest(params, scaled)
+    def tampered(params, scaled, budget):
+        basis, rows = honest(params, scaled, budget)
         top = len(basis) - 1
         i, j = next(ij for ij, row in sorted(rows.items())
                     if top not in ij and all(k != top for k, _ in row))
@@ -416,14 +436,14 @@ def _generated_dim(alg, gens):
         pivots[col] = row
         return True
 
-    elems = [alg.basis[g].derivation for g in gens]
+    elems = [alg.basis[g].vector for g in gens]
     span = [d for d in elems if insert(decompose(d, alg))]
     fresh = list(span)
     while fresh:
         new = []
         for x in fresh:
             for g in elems:
-                br = bracket(g, x)
+                br = bracket(g, x, alg.params)
                 if insert(decompose(br, alg)):
                     new.append(br)
         fresh = new
@@ -492,9 +512,10 @@ def test_s2_is_the_divided_hamiltonian_table(p, m):
         "D_{1,2}(%s)" % ",".join(map(str, a)) for a in alphas]
     for b, a in zip(s.basis, alphas):
         # the special field D_{1,2}(a) = d_1(x^(a)) d_2 - d_2(x^(a)) d_1
-        f = DPPolynomial.monomial(params, a)
-        want = Derivation(params, [-f.partial(1), f.partial(0)])
-        assert b.derivation == want
+        f = {a: 1}
+        want = {(1, g): c for g, c in dp_partial(params, f, 0).items()}
+        want.update({(0, g): -c % p for g, c in dp_partial(params, f, 1).items()})
+        assert b.vector == want
         assert b.grade == sum(a) - 2
 
 

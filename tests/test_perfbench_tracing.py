@@ -20,3 +20,16 @@ def test_instrument_rebinds_and_restores(monkeypatch):
     assert algebras.build_h is build_h and algebras._BUILDERS == builders
     assert [s[0] for s in tracer.spans if s[0].startswith("algebras.build.")] == [
         "algebras.build.Hbar"]
+
+
+def test_traced_closure_check_counts_its_brackets(monkeypatch):
+    # the closure check calls the module-level ``algebras.bracket`` once per
+    # pair i < j, so the traced counter sees dim * (dim - 1) / 2 per build
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import Tracer, instrument
+
+    params = FieldParams(3, 2, (1, 1))
+    with instrument(Tracer()) as tracer:
+        dims = [algebras.build(kind, params).dim for kind in ("Hbar", "W")]
+    assert dims == [8, 18]
+    assert tracer.counts["algebras.bracket"] == 28 + 153

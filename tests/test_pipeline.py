@@ -9,8 +9,7 @@ from conftest import TripClock, load_fixture, random_poly
 from cartaninv import errors, pipeline
 from cartaninv.errors import UNLIMITED, BudgetExceededError, ParameterError
 from cartaninv.algebras import build_hbar
-from cartaninv.dividedpowers import dp_basis
-from cartaninv.modular import FieldParams, delta_of
+from cartaninv.modular import FieldParams, delta_of, dp_basis
 from cartaninv.pipeline import (
     Budget,
     InvariantRecord,

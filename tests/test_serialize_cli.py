@@ -576,14 +576,14 @@ def test_cli_conjecture_budget_trip_in_the_rank_test(capsys, monkeypatch,
 def test_cli_conjecture_budget_bounds_the_closure_check(capsys, monkeypatch):
     # a stub clock that advances one second per bracket of the closure check
     now = [0.0]
-    bracket = algebras._bracket_vector
+    bracket = algebras.bracket
 
     def timed(*args):
         now[0] += 1
         return bracket(*args)
 
     monkeypatch.setattr(errors.time, "monotonic", lambda: now[0])
-    monkeypatch.setattr(algebras, "_bracket_vector", timed)
+    monkeypatch.setattr(algebras, "bracket", timed)
     assert main(["conjecture", "--p", "13", "--max-seconds", "1000"]) == EX_BUDGET
     out, err = capsys.readouterr()
     assert err.startswith("partial results: budget exhausted in the algebra build")
