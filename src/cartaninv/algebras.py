@@ -81,6 +81,8 @@ class CartanAlgebra:
         self.basis = tuple(basis)
         self.dim = len(self.basis)
         self.index = {b.label: i for i, b in enumerate(self.basis)}
+        if any(i >= j for i, j in rows_int):
+            raise ClosureError(f"{kind} table holds a pair (i, j) with i >= j")
         self.rows_int = rows_int
         self.grades = tuple(b.grade for b in self.basis)
         self.r = max(self.grades)
@@ -104,10 +106,10 @@ class CartanAlgebra:
         return "basis=divided"
 
     def row_int(self, i: int, j: int):
-        """Integer structure-constant row for [b_i, b_j]."""
-        if i == j:
-            return ()
-        return self.rows_int.get((i, j), ())
+        """Integer row for [b_i, b_j]: stored for i < j, negated otherwise."""
+        if i < j:
+            return self.rows_int.get((i, j), ())
+        return tuple((k, -c) for k, c in self.rows_int.get((j, i), ()))
 
     def row_mod(self, i: int, j: int):
         """The same row reduced mod p (cached)."""
@@ -275,7 +277,6 @@ def build_w(params: FieldParams, verify: bool = True,
             row = tuple((pos[k], c) for k, c in out.items() if c)
             if row:
                 rows[(i, j)] = row
-                rows[(j, i)] = tuple((k, -c) for k, c in row)
     return CartanAlgebra("W", params, basis, rows, verify=verify, budget=budget)
 
 
@@ -354,7 +355,6 @@ def _build_hamiltonian(params, scaled, budget=UNLIMITED):
             row = tuple((pos[g], c) for g, c in out.items() if c)
             if row:
                 rows[(i, j)] = row
-                rows[(j, i)] = tuple((k, -c) for k, c in row)
     return basis, rows
 
 
@@ -362,21 +362,22 @@ def _h_from_hbar(params, basis, rows, verify, budget=UNLIMITED):
     """H from Hbar's tables: the top element and its row entries dropped.
 
     H is a subalgebra, so every dropped entry of an H bracket is 0 mod p.
-    """
+    ``budget.checkpoint()`` runs once per row i, before its pairs (i, j)."""
     p = params.p
     top = len(basis) - 1
     h_rows = {}
-    for (i, j), row in rows.items():
-        if top in (i, j):
-            continue
-        kept = tuple((k, c) for k, c in row if k != top)
-        if any(k == top and c % p for k, c in row):
-            raise ClosureError(
-                f"[{basis[i].label}, {basis[j].label}] has a top coefficient "
-                f"nonzero mod {p}"
-            )
-        if kept:
-            h_rows[(i, j)] = kept
+    for i in range(top):
+        budget.checkpoint()
+        for j in range(i + 1, top):
+            row = rows.get((i, j), ())
+            if any(k == top and c % p for k, c in row):
+                raise ClosureError(
+                    f"[{basis[i].label}, {basis[j].label}] has a top coefficient "
+                    f"nonzero mod {p}"
+                )
+            kept = tuple((k, c) for k, c in row if k != top)
+            if kept:
+                h_rows[(i, j)] = kept
     return CartanAlgebra("H", params, basis[:-1], h_rows, verify=verify,
                          budget=budget)
 
@@ -395,7 +396,7 @@ def build_hbar(params: FieldParams, verify: bool = True,
     validate_for_kind(params, "Hbar")
     basis, rows = _build_hamiltonian(params, _scaled(params), budget)
     # Hbar's closure check covers every H bracket, so H is not checked again
-    sub = _h_from_hbar(params, basis, rows, verify=False)
+    sub = _h_from_hbar(params, basis, rows, verify=False, budget=budget)
     return CartanAlgebra("Hbar", params, basis, rows, h_subalgebra=sub,
                          verify=verify, budget=budget)
 
@@ -459,7 +460,6 @@ def build_s(params: FieldParams, verify: bool = True,
             row = tuple(sorted((k, c) for k, c in sol.items() if c))
             if row:
                 rows[(i, j)] = row
-                rows[(j, i)] = tuple((k, p - c) for k, c in row)
     return CartanAlgebra("S", params, basis, rows, verify=verify, budget=budget)
 
 

@@ -48,8 +48,8 @@ def test_w1_structure(w1_p3):
     assert w1_p3.dim == 3
     assert [b.label for b in w1_p3.basis] == ["x^(0)d_1", "x^(1)d_1", "x^(2)d_1"]
     assert w1_p3.grades == (-1, 0, 1)
-    # the full bracket table, frozen
-    assert {k: v for k, v in w1_p3.rows_int.items() if k[0] < k[1]} == {
+    # the full bracket table, frozen: the pairs i < j only
+    assert w1_p3.rows_int == {
         (0, 1): ((0, 1),),
         (0, 2): ((1, 1),),
         (1, 2): ((2, 1),),
@@ -254,10 +254,9 @@ def _bumped(alg):
 
 
 def _row_removed(alg):
-    """(b) one nonzero row removed, both (i, j) and (j, i)."""
-    i, j = _first_row(alg)
-    rows = {key: row for key, row in alg.rows_int.items()
-            if key not in ((i, j), (j, i))}
+    """(b) one nonzero row (i, j) removed."""
+    rows = dict(alg.rows_int)
+    del rows[_first_row(alg)]
     return alg.basis, rows
 
 
@@ -273,10 +272,38 @@ def _element_removed(alg):
     return [b for i, b in enumerate(alg.basis) if i != r], rows
 
 
+@pytest.mark.parametrize("key, row", [
+    pytest.param((1, 0), ((0, 0),), id="corrupt-mirror"),
+    pytest.param((1, 0), ((0, -1),), id="true-mirror"),
+    pytest.param((1, 1), ((1, 1),), id="diagonal")])
+def test_table_holds_only_the_pairs_i_below_j(w1_p3, key, row):
+    # row_int alone applies [b_j, b_i] = -[b_i, b_j], so the closure check of
+    # the pairs i < j covers every row; a stored (j, i) or (i, i) is refused,
+    # even a true mirror and even unverified.  The corrupt mirror would give
+    # ad(x^(1)d_1) x^(0)d_1 = 0 instead of 2*x^(0)d_1.
+    rows = dict(w1_p3.rows_int)
+    rows[key] = row
+    for verify in (True, False):
+        with pytest.raises(ClosureError, match="i >= j"):
+            CartanAlgebra("W", w1_p3.params, w1_p3.basis, rows, verify=verify)
+
+
+@pytest.mark.parametrize("kind, p, m", [
+    ("W", 3, (2,)), ("W", 3, (1, 1)), ("S", 3, (1, 1)), ("S", 3, (1, 1, 1)),
+    ("H", 3, (1, 1)), ("Hbar", 3, (1, 1)), ("H", 5, (1, 1)), ("Hbar", 5, (1, 1))])
+def test_rows_are_antisymmetric(kind, p, m):
+    # [b_j, b_i] = -[b_i, b_j] over Z as well as mod p, for every kind of table
+    alg = algebras.build(kind, FieldParams(p, len(m), m))
+    for i in range(alg.dim):
+        assert alg.row_int(i, i) == () and alg.row_mod(i, i) == ()
+        for j in range(i + 1, alg.dim):
+            assert alg.row_int(j, i) == tuple((k, -c) for k, c in alg.row_int(i, j))
+            assert alg.row_mod(j, i) == tuple((k, -c % p) for k, c in alg.row_mod(i, j))
+
+
 def test_closure_verification_catches_corruption(w1_p3):
     rows = dict(w1_p3.rows_int)
     rows[(0, 1)] = ((1, 1),)  # wrong: [d, xd] = d, not xd
-    rows[(1, 0)] = ((1, -1),)
     with pytest.raises(ClosureError, match="disagree"):
         CartanAlgebra("W", w1_p3.params, w1_p3.basis, rows)
     for kind, p in [("W", 3), ("S", 5), ("H", 5), ("Hbar", 5)]:
@@ -326,25 +353,34 @@ def test_build_checkpoints_once_per_row(kind, p, n, rows):
 
 
 def _table_rows(kind, params):
-    """Rows of the build's closed-form table: one per W basis key, and one
-    per alpha of Hbar's table for H, Hbar and S at n = 2; S at n >= 3 has
-    none."""
+    """Rows walked before the closure check: one per W basis key; one per
+    alpha of Hbar's table for H, Hbar and S at n = 2, and for H and Hbar one
+    more per row of H that _h_from_hbar walks; S at n >= 3 has none."""
     if kind == "S" and params.n > 2:
         return 0
     monos = len(dp_basis(params))
-    return monos * params.n if kind == "W" else monos - 1
+    if kind == "W":
+        return monos * params.n
+    return monos - 1 if kind == "S" else (monos - 1) + (monos - 2)
 
 
 @pytest.mark.parametrize("kind, n, table", [
     ("W", 2, "build_w"), ("S", 2, "_build_hamiltonian"), ("S", 3, "build_s"),
-    ("H", 2, "_build_hamiltonian"), ("Hbar", 2, "_build_hamiltonian")])
+    ("H", 2, "_build_hamiltonian"), ("Hbar", 2, "_build_hamiltonian"),
+    ("H", 2, "_h_from_hbar"), ("Hbar", 2, "_h_from_hbar")])
 def test_budget_trips_inside_the_structure_table(kind, n, table):
-    # the first and the last row of the build's table trip inside it,
-    # before the closure check has begun
+    # the first and the last row of each table the build walks trip inside
+    # it, before the closure check has begun; H and Hbar walk Hbar's table,
+    # then the rows of H in _h_from_hbar (build_hbar builds that H
+    # unverified, under its own budget)
     params = FieldParams(3, n, (1,) * n)
     clock = TripClock()
     algebras.build(kind, params, verify=False, budget=clock)
-    for trip in (1, clock.checkpoints):
+    first, last = 1, clock.checkpoints
+    if kind in ("H", "Hbar"):
+        ham = len(dp_basis(params)) - 1
+        first, last = (1, ham) if table == "_build_hamiltonian" else (ham + 1, last)
+    for trip in (first, last):
         with pytest.raises(BudgetExceededError) as exc:
             algebras.build(kind, params, budget=TripClock(trip))
         assert exc.traceback[-2].name == table
@@ -392,7 +428,6 @@ def test_top_coefficient_on_an_h_pair_must_vanish_mod_p(monkeypatch, params3,
                     if top not in ij and all(k != top for k, _ in row))
         rows = dict(rows)
         rows[(i, j)] += ((top, top_coeff),)
-        rows[(j, i)] += ((top, -top_coeff),)
         return basis, rows
 
     want = build_h(params3, verify=False)

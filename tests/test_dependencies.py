@@ -70,3 +70,13 @@ def test_one_ad_kernel():
     assert _functions_using(tree, {"row_mod", "row_int"}) == {"_ad_pass"}
     assert _functions_using(tree, {"_ad_pass"}) == {"ad_action", "d_gamma",
                                                     "is_invariant"}
+
+
+def test_one_owner_of_the_table():
+    # the stored table holds the pairs i < j; only CartanAlgebra reads it, and
+    # everything else goes through row_int or row_mod, which apply antisymmetry
+    tree = ast.parse((ROOT / "src" / "cartaninv" / "algebras.py").read_text())
+    assert _functions_using(tree, {"rows_int"}) == {"CartanAlgebra"}
+    others = [path.name for path in SOURCES
+              if path.name != "algebras.py" and "rows_int" in path.read_text()]
+    assert others == []

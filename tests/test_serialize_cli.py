@@ -607,9 +607,11 @@ def test_cli_invariant_verify_honours_the_budget(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(cli, "Budget", counting)
     assert main(["invariant-verify", str(path)]) == EX_OK
     total = clocks[0].checkpoints
-    assert total > hbar_p5.dim  # the closure check's rows, then verify()'s
+    build = TripClock()
+    algebras.build_hbar(hbar_p5.params, budget=build)
+    assert total > build.checkpoints  # the build's rows, then verify()'s
     # the first and last checkpoint of the build, then of verify()
-    for trip in (1, hbar_p5.dim, hbar_p5.dim + 1, total):
+    for trip in (1, build.checkpoints, build.checkpoints + 1, total):
         monkeypatch.setattr(cli, "Budget", _budget_factory(trip))
         assert main(["invariant-verify", str(path), "--max-seconds", "60"]) == EX_BUDGET
         assert "budget exceeded" in capsys.readouterr().err
