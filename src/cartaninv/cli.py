@@ -67,11 +67,7 @@ def _load_verified_record(store, hbar, label, budget):
 def _cmd_basis(args) -> int:
     algebra = _build_algebra(args, args.algebra)
     if args.output == "structured":
-        doc = serialize.sc_document(algebra)
-        del doc["rows"]
-        doc["format"] = "cartaninv.basis"
-        doc["r"] = algebra.r
-        _emit(doc)
+        _emit(serialize.basis_document(algebra))
         return EX_OK
     for i, b in enumerate(algebra.basis):
         print(f"{i:3d}  {b.label:<18} grade {b.grade:+d}")
@@ -144,13 +140,11 @@ def _cmd_invariant_verify(args) -> int:
 
 
 def _cmd_generator_check(args) -> int:
-    if args.poly_file is not None and args.ring is not None:
-        raise ParameterError("--ring applies to --var only")
     algebra = _build_algebra(args, args.algebra)
     if args.var is not None:
         if args.var not in algebra.index:
             raise ParameterError(f"unknown basis label {args.var!r}")
-        F = SymPolynomial.from_label(algebra, args.var, args.ring or "modp")
+        F = SymPolynomial.from_label(algebra, args.var)
     else:
         doc = json.loads(Path(args.poly_file).read_text())
         F = serialize.document_to_poly(doc, algebra)
@@ -297,8 +291,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = command("generator-check", _cmd_generator_check,
                  "check the generator criteria for a polynomial",
                  "--algebra", *params, "--store")
-    sp.add_argument("--ring", choices=["int", "modp"],
-                    help="ring of the --var polynomial (default modp)")
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--var", help="single basis variable, e.g. u_{1,1}")
     source.add_argument("--poly", dest="poly_file",

@@ -57,7 +57,7 @@ class SpanSolver:
 
     def insert(self, vec) -> bool:
         """Add a vector to the span; True iff it was independent."""
-        return self._insert(vec) is None
+        return self.insert_or_relation(vec) is None
 
     def insert_or_relation(self, vec):
         """Add a vector; None when independent, else the linear relation.
@@ -65,9 +65,6 @@ class SpanSolver:
         The relation is a dict {inserted index: coeff} with
         sum coeff * inserted_k = 0, including this vector's own index.
         """
-        return self._insert(vec)
-
-    def _insert(self, vec):
         p = self.p
         red, expr = self._reduce(vec)
         mine = self.ninserted

@@ -22,6 +22,7 @@ from .symalg import SymPolynomial, render_text  # re-exported: the CLI renders t
 POLY_FORMAT = "cartaninv.sympoly"
 RECORD_FORMAT = "cartaninv.invariant-record"
 SC_FORMAT = "cartaninv.structure-constants"
+BASIS_FORMAT = "cartaninv.basis"
 VERSION = 1
 
 STORE_ENV = "CARTANINV_STORE"
@@ -196,10 +197,20 @@ def document_to_record(doc, hbar: CartanAlgebra) -> InvariantRecord:
 
 # -- structure constants -------------------------------------------------------------
 
-def sc_document(algebra: CartanAlgebra) -> dict:
-    doc = _header(algebra, SC_FORMAT)
+def _basis_header(algebra: CartanAlgebra, fmt: str) -> dict:
+    doc = _header(algebra, fmt)
     doc["dim"] = algebra.dim
     doc["basis"] = [{"label": b.label, "grade": b.grade} for b in algebra.basis]
+    return doc
+
+
+def basis_document(algebra: CartanAlgebra) -> dict:
+    """The ordered basis, its grades and the top grade r; no table is read."""
+    return dict(_basis_header(algebra, BASIS_FORMAT), r=algebra.r)
+
+
+def sc_document(algebra: CartanAlgebra) -> dict:
+    doc = _basis_header(algebra, SC_FORMAT)
     rows = []
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):

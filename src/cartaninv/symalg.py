@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebras import CartanAlgebra, filtration_basis
+from .algebras import CartanAlgebra, decompose, filtration_basis
 from .errors import UNLIMITED, Budget, ParameterError
 from .modular import delta_of
 
@@ -313,18 +313,27 @@ def _ad_pass(F: SymPolynomial, element, width: int, packed):
     return {m: c for m, c in out.items() if c}
 
 
-def _from_packed(F: SymPolynomial, packed: dict, width: int) -> SymPolynomial:
+def _ad_images(F: SymPolynomial, budget: Budget = UNLIMITED):
+    """The map from an element of L, as (basis index, coefficient) pairs, to its
+    ad image of F.  F is packed once, and one unpack table serves every image;
+    ``budget.checkpoint()`` runs before each image's pass."""
+    width = _width(F)
+    packed = _pack_terms(F, width)
     table = _unpack_table(width, F.algebra.dim)
-    return F._bare({_unpack(m, table): c for m, c in packed.items()})
+
+    def image(element):
+        budget.checkpoint()
+        terms = _ad_pass(F, element, width, packed)
+        return F._bare({_unpack(m, table): c for m, c in terms.items()})
+
+    return image
 
 
 def ad_action(b, F: SymPolynomial) -> SymPolynomial:
     """The derivation of S(L) extending ad(b); b is a basis index or a
     coordinate map {basis index: coeff}, such as ``decompose`` returns,
     applied in one pass over its coordinates."""
-    element = [(b, 1)] if isinstance(b, int) else b.items()
-    width = _width(F)
-    return _from_packed(F, _ad_pass(F, element, width, _pack_terms(F, width)), width)
+    return _ad_images(F)([(b, 1)] if isinstance(b, int) else b.items())
 
 
 def ad_partial(F: SymPolynomial, axis: int) -> SymPolynomial:
@@ -353,7 +362,7 @@ def d_gamma(F: SymPolynomial, gamma, budget: Budget = UNLIMITED) -> SymPolynomia
             if not terms:
                 return F._bare({})
             packed = ((m, c, _unpack(m, table)) for m, c in terms.items())
-    return _from_packed(F, terms, width)
+    return F._bare({_unpack(m, table): c for m, c in terms.items()})
 
 
 def d_delta(F: SymPolynomial, budget: Budget = UNLIMITED) -> SymPolynomial:
@@ -380,26 +389,18 @@ def is_invariant(F: SymPolynomial, budget: Budget = UNLIMITED) -> InvarianceRepo
     algebra's Lie generators are checked; when generator g fails, the indices
     below g that are not generators are scanned for an earlier witness.  Only
     the mod-p ring is accepted: the integral lifts of the structure constants
-    need not satisfy Jacobi over Z.  ``budget.checkpoint()`` runs before each
-    ad pass.
+    need not satisfy Jacobi over Z.  ``budget.checkpoint()`` precedes each pass.
     """
     if F.ring != "modp":
         raise ParameterError("invariance is a mod-p statement")
-    alg = F.algebra
-    width = _width(F)
-    packed = _pack_terms(F, width)
-
-    def ad(idx):
-        budget.checkpoint()
-        return _from_packed(F, _ad_pass(F, [(idx, 1)], width, packed), width)
-
-    gens = alg.lie_generators()
+    image = _ad_images(F, budget)
+    gens = F.algebra.lie_generators()
     for g in gens:
-        img = ad(g)
+        img = image([(g, 1)])
         if img:
             for idx in range(g):
                 if idx not in gens:
-                    earlier = ad(idx)
+                    earlier = image([(idx, 1)])
                     if earlier:
                         return InvarianceReport(False, (idx, earlier))
             return InvarianceReport(False, (g, img))
@@ -415,15 +416,14 @@ class GeneratorCheck:
 
 
 def _filtration_failures(F: SymPolynomial, k: int):
-    """(description, image) for each basis element of grade >= k, in basis
-    order, whose ad image of F is nonzero."""
-    alg = F.algebra
-    fails = []
-    for idx in filtration_basis(alg, k):
-        img = ad_action(idx, F)
-        if img:
-            fails.append((f"L{k}({alg.basis[idx].label}) != 0", img))
-    return fails
+    """F's ad image map, and (description, image) for each basis element of
+    grade >= k, in basis order, whose image is nonzero; F must be mod p."""
+    if F.ring != "modp":
+        raise ParameterError("the generator criteria are mod-p statements")
+    image = _ad_images(F)
+    fails = [(f"L{k}({F.algebra.basis[idx].label}) != 0", img)
+             for idx in filtration_basis(F.algebra, k) if (img := image([(idx, 1)]))]
+    return image, fails
 
 
 def check_generator_w(F: SymPolynomial) -> GeneratorCheck:
@@ -432,16 +432,17 @@ def check_generator_w(F: SymPolynomial) -> GeneratorCheck:
     alg = F.algebra
     if alg.kind != "W":
         raise ParameterError("check_generator_w needs a W-type algebra")
-    fails = _filtration_failures(F, 1)
+    image, fails = _filtration_failures(F, 1)
     n = alg.params.n
     for i in range(n):
         eps = tuple(1 if t == i else 0 for t in range(n))
         for j in range(n):
-            idx = alg.index["x^(%s)d_%d" % (",".join(map(str, eps)), j + 1)]
-            defect = ad_action(idx, F) + (F if i == j else F.scale(0))
+            (idx, _), = decompose({(j, eps): 1}, alg).items()  # x_i d_j
+            defect = image([(idx, 1)])
+            if i == j:
+                defect += F
             if defect:
-                lbl = alg.basis[idx].label
-                fails.append((f"ad({lbl}) eigenvalue defect", defect))
+                fails.append((f"ad({alg.basis[idx].label}) eigenvalue defect", defect))
     return GeneratorCheck(not fails, tuple(fails))
 
 
@@ -450,6 +451,5 @@ def check_generator_sh(F: SymPolynomial) -> GeneratorCheck:
     alg = F.algebra
     if alg.kind not in ("S", "H", "Hbar"):
         raise ParameterError("check_generator_sh needs an S, H or Hbar algebra")
-    fails = _filtration_failures(F, 0)
+    _, fails = _filtration_failures(F, 0)
     return GeneratorCheck(not fails, tuple(fails))
-

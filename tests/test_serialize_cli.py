@@ -15,6 +15,7 @@ from conftest import TripClock, random_poly
 from cartaninv import algebras, cli, errors, pipeline, serialize
 from cartaninv.cli import EX_BUDGET, EX_FAIL, EX_OK, EX_USAGE, main
 from cartaninv.errors import Budget, SerializationError
+from cartaninv.modular import FieldParams
 from cartaninv.symalg import SymPolynomial
 
 
@@ -333,13 +334,29 @@ def test_cli_generator_check_w(capsys):
                "--m", "1", "--var", "x^(2)d_1"])
     out = capsys.readouterr().out
     assert rc == EX_FAIL  # e_1 itself violates the eigenvalue condition
-    # an integer defect's coefficient -1 prints as the sign alone
+    # the defect is a mod-p polynomial: -1 prints as its residue 2
     assert main(["generator-check", "--algebra", "W", "--p", "3", "--var",
-                 "x^(1,0)d_1", "--ring", "int"]) == EX_FAIL
+                 "x^(1,0)d_1"]) == EX_FAIL
     lines = capsys.readouterr().out.splitlines()
-    assert "FAIL L1(x^(1,1)d_2) != 0: -x^(1,1)d_2" in lines
+    assert "FAIL L1(x^(1,1)d_2) != 0: 2*x^(1,1)d_2" in lines
     assert main(["generator-check", "--algebra", "W", "--p", "3", "--n", "1",
                  "--m", "1"]) == EX_USAGE  # neither --var nor --poly
+
+
+def test_cli_generator_check_is_a_mod_p_statement(tmp_path, capsys):
+    # over Z the defect of D(8,2) is -6*D(8,2), which vanishes mod 3
+    argv = ["generator-check", "--p", "3", "--m", "2,1", "--var", "D(8,2)"]
+    assert main(argv) == EX_OK
+    assert capsys.readouterr().out == "generator conditions hold\n"
+    assert main(argv + ["--ring", "int"]) == EX_USAGE
+    assert "unrecognized arguments: --ring int" in capsys.readouterr().err
+    hbar_21 = algebras.build_hbar(FieldParams(3, 2, (2, 1)))
+    path = tmp_path / "int.json"
+    path.write_text(serialize.dumps_canonical(serialize.poly_to_document(
+        SymPolynomial.from_label(hbar_21, "D(8,2)", "int"))))
+    assert main(argv[:5] + ["--poly", str(path)]) == EX_USAGE
+    assert capsys.readouterr().err == (
+        "error: the generator criteria are mod-p statements\n")
 
 
 def test_cli_generator_check_prints_a_constant_defect_as_a_number(
@@ -454,6 +471,25 @@ def test_cli_hamiltonian_bracket_tables_pinned(capsys, algebra, n, m, sha):
     assert main(["bracket-table", "--algebra", algebra, "--p", "3", "--n", n,
                  "--m", m, "--output", "structured"]) == EX_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+def test_cli_basis_document_pinned(capsys):
+    # the basis document is rendered without the structure constants
+    assert main(["basis", "--p", "5", "--output", "structured"]) == EX_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "8b097f674a94e26cce0ac83822ef63b0e6c61a0ad1ead444edc152b9d787dc02")
+
+
+def test_basis_document_reads_no_structure_constants(monkeypatch, hbar_p5):
+    def no_table(*args):
+        raise AssertionError("the basis document read the table")
+
+    doc = serialize.basis_document(hbar_p5)
+    monkeypatch.setattr(hbar_p5, "row_int", no_table)
+    monkeypatch.setattr(hbar_p5, "row_mod", no_table)
+    monkeypatch.setattr(hbar_p5, "rows_int", None)
+    assert serialize.basis_document(hbar_p5) == doc
+    assert doc["format"] == "cartaninv.basis" and doc["r"] == hbar_p5.r
 
 
 def test_cli_basis_and_bracket_table(capsys, tmp_path):
@@ -670,8 +706,8 @@ CLI_FLAGS = {
     "invariant-compute": {"--p", "--n", "--m", "--output", "--store", "--max-terms",
                           "--max-seconds", "--power"},
     "invariant-verify": {"--max-terms", "--max-seconds"},
-    "generator-check": {"--algebra", "--p", "--n", "--m", "--store", "--ring",
-                        "--var", "--poly"},
+    "generator-check": {"--algebra", "--p", "--n", "--m", "--store", "--var",
+                        "--poly"},
     "independence": {"--p", "--n", "--m", "--store", "--max-terms", "--max-seconds",
                      "--labels"},
     "conjecture": {"--p", "--store", "--max-terms", "--max-seconds"},

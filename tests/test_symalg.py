@@ -79,9 +79,7 @@ def kernel_algebras(hbar_p3, hbar_p5, w2_p3, w2_p5, s2_p3, s2_p5):
 
 def ad_element(F, element):
     """One kernel pass of ``element``, (index, coefficient) pairs, over F."""
-    width = symalg._width(F)
-    packed = symalg._ad_pass(F, element, width, symalg._pack_terms(F, width))
-    return symalg._from_packed(F, packed, width)
+    return symalg._ad_images(F)(element)
 
 
 @pytest.mark.parametrize("ring", ["modp", "int"])
@@ -368,6 +366,45 @@ def test_check_generator_w(w1_p3):
 def test_check_generator_w_rejects_other_kinds(hbar_p3):
     with pytest.raises(ParameterError):
         check_generator_w(SymPolynomial.one(hbar_p3))
+
+
+@pytest.fixture
+def pack_count(monkeypatch):
+    """The number of _pack_terms calls made after the fixture is set up."""
+    calls = []
+    pack = symalg._pack_terms
+
+    def counted(F, width):
+        calls.append(len(F))
+        return pack(F, width)
+
+    monkeypatch.setattr(symalg, "_pack_terms", counted)
+    return calls
+
+
+def test_generator_criteria_pack_once(results_p5, w2_p3, pack_count):
+    # each criterion packs F once for all the basis elements it tests
+    inv = results_p5[6].record.invariant
+    assert check_generator_sh(inv).ok
+    assert pack_count == [len(inv)]
+    pack_count.clear()
+    e = SymPolynomial.from_label(w2_p3, "x^(2,2)d_1")
+    assert not check_generator_w(e).ok
+    assert pack_count == [1]
+
+
+def test_generator_criteria_refuse_the_integer_ring(w1_p3, w2_p3, hbar_p3):
+    hbar_21 = build_hbar(FieldParams(3, 2, (2, 1)))
+    # over Z, ad(D(1,1)) D(8,2) = -6 D(8,2), which is 0 mod 3
+    assert check_generator_sh(SymPolynomial.from_label(hbar_21, "D(8,2)")).ok
+    e1 = SymPolynomial.from_label(w1_p3, "x^(2)d_1", "int")
+    refused = [(check_generator_sh, SymPolynomial.from_label(hbar_21, "D(8,2)", "int")),
+               (check_generator_sh, SymPolynomial.one(hbar_p3, "int")),
+               (check_generator_w, e1 * e1),
+               (check_generator_w, SymPolynomial.variable(w2_p3, 0, "int"))]
+    for check, F in refused:
+        with pytest.raises(ParameterError, match="mod-p"):
+            check(F)
 
 
 def test_check_generator_sh(hbar_p3):
