@@ -109,15 +109,18 @@ def _cmd_invariant_compute(args) -> int:
         print(f"{result.label}: candidate is not invariant; ad({lbl}) != 0 "
               f"({result.detail})", file=sys.stderr)
         return EX_FAIL
+    # rendered once: the stored file and the structured output are one text
+    text = serialize.record_text(result.record) if args.output == "structured" else None
     if args.store:
-        serialize.save_record(args.store, result.record)
-    _output_record(args, result.record, "computed")
+        serialize.save_record(args.store, result.record, text)
+    _output_record(args, result.record, "computed", text)
     return EX_OK
 
 
-def _output_record(args, record, src: str) -> None:
+def _output_record(args, record, src: str, text: str | None = None) -> None:
+    """Print the record; ``text`` is its ``record_text``, when already rendered."""
     if args.output == "structured":
-        _emit(serialize.record_to_document(record))
+        sys.stdout.write(serialize.record_text(record) if text is None else text)
         return
     print(f"{record.label} ({src}): {record.term_count} terms, "
           f"lambda = {record.lambda_value}, phi removed p^{record.p_power_m}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .algebras import CartanAlgebra, build
@@ -29,7 +30,71 @@ STORE_ENV = "CARTANINV_STORE"
 
 
 def dumps_canonical(doc) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """The canonical text of a document, written directly: the same bytes as
+    ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"``.
+
+    A document holds dicts with str keys, lists, str, int, bool and None; any
+    other value raises TypeError."""
+    out = []
+    _write(doc, out, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+# per depth: the text before the first item and before each later one; every
+# container at one depth shares these two strings
+_LAYOUT = [("\n", ",\n")]
+
+
+def _grow_layout(depth):
+    while len(_LAYOUT) <= depth:
+        lead = _LAYOUT[-1][0] + " "
+        _LAYOUT.append((lead, "," + lead))
+
+
+def _write(value, out, depth):
+    """Append the canonical text of ``value``, nested ``depth`` deep, to
+    ``out``."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        if depth + 1 >= len(_LAYOUT):
+            _grow_layout(depth + 1)
+        lead, sep = _LAYOUT[depth + 1]
+        out.append("[")
+        for item in value:
+            out.append(lead)
+            lead = sep
+            _write(item, out, depth + 1)
+        out += (_LAYOUT[depth][0], "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if depth + 1 >= len(_LAYOUT):
+            _grow_layout(depth + 1)
+        lead, sep = _LAYOUT[depth + 1]
+        out.append("{")
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"a canonical document key is a str, not {key!r}")
+            out += (lead, _quote(key), ": ")
+            lead = sep
+            _write(value[key], out, depth + 1)
+        out += (_LAYOUT[depth][0], "}")
+    else:
+        raise TypeError(f"a canonical document holds no {type(value).__name__}")
 
 
 def _header(algebra: CartanAlgebra, fmt: str) -> dict:
@@ -259,13 +324,13 @@ def sc_path(store, kind, p, n, m) -> Path:
     return Path(store) / f"sc_{kind}_p{p}_n{n}_m{_m_tag(m)}.json"
 
 
-def _write_atomic(path: Path, doc) -> Path:
-    """Write the canonical document through a temp file in the same directory
-    and ``os.replace``, so a failed write leaves any old file as it was."""
+def _write_atomic(path: Path, text: str) -> Path:
+    """Write the text through a temp file in the same directory and
+    ``os.replace``, so a failed write leaves any old file as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(dumps_canonical(doc))
+        tmp.write_text(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -273,10 +338,16 @@ def _write_atomic(path: Path, doc) -> Path:
     return path
 
 
-def save_record(store, record: InvariantRecord) -> Path:
+def record_text(record: InvariantRecord) -> str:
+    """The canonical text of a record's document, as stored and emitted."""
+    return dumps_canonical(record_to_document(record))
+
+
+def save_record(store, record: InvariantRecord, text: str | None = None) -> Path:
+    """Store the record; ``text`` is its ``record_text``, when already rendered."""
     pr = record.invariant.algebra.params
     path = record_path(store, pr.p, pr.n, pr.m, record.label)
-    return _write_atomic(path, record_to_document(record))
+    return _write_atomic(path, record_text(record) if text is None else text)
 
 
 def load_record(store, hbar: CartanAlgebra, label) -> InvariantRecord | None:
@@ -291,7 +362,7 @@ def load_record(store, hbar: CartanAlgebra, label) -> InvariantRecord | None:
 def save_structure_constants(store, algebra: CartanAlgebra) -> Path:
     pr = algebra.params
     path = sc_path(store, algebra.kind, pr.p, pr.n, pr.m)
-    return _write_atomic(path, sc_document(algebra))
+    return _write_atomic(path, dumps_canonical(sc_document(algebra)))
 
 
 def load_algebra(store, kind, params: FieldParams) -> CartanAlgebra | None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cartaninv.algebras import bracket, build_hbar, build_s, build_w, decompose
-from cartaninv.errors import BudgetExceededError, ParameterError
+from cartaninv.errors import Budget, BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of, dp_basis, mi_add, multi_binom_int
 from cartaninv.pipeline import conjecture_sweep, delta_star
 from cartaninv.symalg import SymPolynomial, ad_action, d_delta, d_gamma
@@ -245,6 +245,12 @@ def record_p3(hbar_p3):
 def results_p5(hbar_p5):
     """The three pipeline runs of the p = 5 series, computed once."""
     return {i: delta_star(i, hbar_p5) for i in (2, 4, 6)}
+
+
+@pytest.fixture(scope="session")
+def sweep_p7():
+    """The p = 7 sweep, computed once: four records and Delta_10_star refuted."""
+    return conjecture_sweep(7, budget=Budget(max_terms=10_000_000, max_seconds=600))
 
 
 @pytest.fixture(scope="session")

@@ -315,6 +315,40 @@ def test_closure_verification_catches_corruption(w1_p3):
                 CartanAlgebra(kind, alg.params, basis, rows)
 
 
+# S_3(1,1,1) stops at p = 5: at p = 7 its table alone is 233,586 solved brackets
+@pytest.mark.parametrize("kind, p, m", [
+    (kind, p, m) for kind, m in [("W", (2,)), ("W", (1, 1)), ("S", (1, 1)),
+                                 ("S", (1, 1, 1)), ("H", (1, 1)), ("Hbar", (1, 1))]
+    for p in (3, 5, 7) if (kind, m, p) != ("S", (1, 1, 1), 7)])
+def test_closure_skips_only_pairs_whose_bracket_is_zero(monkeypatch, kind, p, m):
+    # every pair the closure check does not bracket must bracket to 0, hold no
+    # row, and be checked all the same: a row planted on it is refused
+    alg = algebras.build(kind, FieldParams(p, len(m), m), verify=False)
+    index = {id(b.vector): k for k, b in enumerate(alg.basis)}
+    called = set()
+
+    def recorded(u, v, params):
+        called.add((index[id(u)], index[id(v)]))
+        return bracket(u, v, params)
+
+    monkeypatch.setattr(algebras, "bracket", recorded)
+    alg._verify_closure()
+    skipped = [(i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim)
+               if (i, j) not in called]
+    assert len(called) + len(skipped) == alg.dim * (alg.dim - 1) // 2
+    for i, j in skipped:
+        assert bracket(alg.basis[i].vector, alg.basis[j].vector, alg.params) == {}
+        assert (i, j) not in alg.rows_int
+    # none is skipped in the p = 3 tables of H_2(1,1), Hbar_2(1,1) and S_2(1,1)
+    assert skipped or (p, m) == (3, (1, 1)) and kind != "W"
+    for i, j in skipped[:1]:
+        for planted in (1, p + 1):
+            rows = dict(alg.rows_int)
+            rows[(i, j)] = ((0, planted),)
+            with pytest.raises(ClosureError, match="disagree"):
+                CartanAlgebra(kind, alg.params, alg.basis, rows)
+
+
 def test_build_hbar_checks_closure_once(monkeypatch, params3):
     checked = []
     verify = CartanAlgebra._verify_closure

@@ -162,6 +162,68 @@ def test_cli_malformed_sc_cache_exits_2(tmp_path, capsys, hbar_p3, mangle):
     assert main(argv) == EX_USAGE
     assert capsys.readouterr().err.startswith("error: ")
 
+def _json_dumps_canonical(doc):
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_canonical_writer_matches_json_dumps_on_every_document(request, p):
+    # dumps_canonical writes the canonical text directly; it must give the
+    # bytes json.dumps gives for every document the package renders
+    params = FieldParams(p, 2, (1, 1))
+    docs = []
+    for kind in ("W", "S", "H", "Hbar"):
+        alg = algebras.build(kind, params, verify=False)
+        docs += [serialize.sc_document(alg), serialize.basis_document(alg)]
+    records = {3: lambda: [request.getfixturevalue("record_p3")],
+               5: lambda: [r.record for r in
+                           request.getfixturevalue("results_p5").values()],
+               7: lambda: list(request.getfixturevalue("sweep_p7").records)}[p]()
+    assert len(records) == {3: 1, 5: 3, 7: 4}[p]
+    for rec in records:
+        docs += [serialize.record_to_document(rec),
+                 serialize.poly_to_document(rec.generator)]
+        if rec.term_count < 10_000:  # the record nests the larger invariants
+            docs.append(serialize.poly_to_document(rec.invariant))
+    for doc in docs:
+        assert serialize.dumps_canonical(doc) == _json_dumps_canonical(doc)
+
+
+def _random_text(rng):
+    return "".join(rng.choice('ab"\\/\b\f\n\r\t\x00\x1f\x7f é∂𝔽δ_{}')
+                   for _ in range(rng.randrange(6)))
+
+
+def _random_document(rng, depth=0):
+    roll = rng.randrange(9 if depth < 4 else 5)
+    if roll == 0:
+        return rng.choice([None, True, False])
+    if roll == 1:
+        return rng.choice([0, -1, 1, -(3 ** 50), 7 ** 40, rng.randrange(-999, 999)])
+    if roll in (2, 3, 4):
+        return _random_text(rng)
+    if roll in (5, 6):
+        return [_random_document(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {_random_text(rng): _random_document(rng, depth + 1)
+            for _ in range(rng.randrange(4))}
+
+
+def test_canonical_writer_matches_json_dumps_on_random_documents():
+    rng = random.Random(2107)
+    for _ in range(400):
+        doc = _random_document(rng)
+        assert serialize.dumps_canonical(doc) == _json_dumps_canonical(doc)
+    assert serialize.dumps_canonical({"a": [], "b": {}, "c": [[], {}]}) == (
+        '{\n "a": [],\n "b": {},\n "c": [\n  [],\n  {}\n ]\n}\n')
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1, 2}, b"u", object(), {1: "a"},
+                                   {"a": [0, {"b": 2.0}]}])
+def test_canonical_writer_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        serialize.dumps_canonical(value)
+
+
 # -- CLI -------------------------------------------------------------------------
 
 def test_cli_invariant_compute_text(capsys):
@@ -182,6 +244,23 @@ def test_cli_structured_deterministic(capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["term_count"] == 4 and doc["label"] == "Delta_2"
+
+
+def test_cli_store_miss_renders_the_record_once(tmp_path, capsys, monkeypatch):
+    # the stored file and the structured output are one rendered text, and
+    # its bytes are the pinned record document
+    rendered = []
+    to_document = serialize.record_to_document
+    monkeypatch.setattr(serialize, "record_to_document",
+                        lambda rec: rendered.append(rec.label) or to_document(rec))
+    argv = ["invariant-compute", "--p", "5", "--power", "4", "--store",
+            str(tmp_path), "--output", "structured"]
+    assert main(argv) == EX_OK
+    out = capsys.readouterr().out
+    stored = (tmp_path / "invariant_p5_n2_m1-1_Delta_4_star.json").read_text()
+    assert rendered == ["Delta_4_star"] and stored == out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "faa1513d758a9dee3a2c53b11d6f8bba88187ac262b4669ae066044c9d723bd0")
 
 
 def test_cli_store_and_verify(tmp_path, capsys):
