@@ -14,7 +14,7 @@ from .algebras import CartanAlgebra, build_hbar
 from .errors import UNLIMITED, Budget, BudgetExceededError, ParameterError
 from .gflinalg import SpanSolver
 from .modular import FieldParams, delta_of, p_valuation
-from .symalg import SymPolynomial, d_delta, is_invariant
+from .symalg import SymPolynomial, checked_d_delta, d_delta, is_invariant
 
 
 # -- the Delta series ------------------------------------------------------------
@@ -166,24 +166,25 @@ def delta_star(power: int, algebra: CartanAlgebra,
         if invariant.is_zero():
             return DeltaStarResult(power, label, "zero",
                                    detail="Delta vanishes mod p")
+        rep = is_invariant(invariant, budget)
     else:
         label = f"Delta_{power}_star"
         if restricted.is_zero():
             return DeltaStarResult(power, label, "zero",
                                    detail="restriction at u = 0 vanishes over Z")
         generator, m = phi_normalize(restricted)
-        invariant = d_delta(generator, budget)
-        if invariant.is_zero():
+        # checked before it is unpacked; a refused image is never built
+        invariant, rep = checked_d_delta(generator, budget)
+        if rep.is_invariant and invariant.is_zero():
             return DeltaStarResult(
                 power, label, "zero",
                 detail=f"d^(delta) of the phi-image vanishes (m = {m})")
 
-    rep = is_invariant(invariant, budget)
     if not rep.is_invariant:
-        idx, _ = rep.witness
+        idx, img = rep.witness
         return DeltaStarResult(
             power, label, "not-invariant", witness=rep.witness,
-            detail=f"ad({invariant.algebra.basis[idx].label}) does not vanish "
+            detail=f"ad({img.algebra.basis[idx].label}) does not vanish "
                    f"(phi removed p^{m})")
     record = InvariantRecord(
         label=label,

@@ -140,15 +140,11 @@ def _check_header(doc, fmt: str, algebra: CartanAlgebra) -> None:
 def poly_to_document(F: SymPolynomial) -> dict:
     doc = _header(F.algebra, POLY_FORMAT)
     doc["ring"] = F.ring
-    terms = []
-    for mono, c in F.sorted_terms():
-        terms.append(
-            {
-                "monomial": [[F.algebra.basis[v].label, e] for v, e in mono],
-                "coefficient": c,
-            }
-        )
-    doc["terms"] = terms
+    labels = [b.label for b in F.algebra.basis]
+    doc["terms"] = [
+        {"monomial": [[labels[v], e] for v, e in mono], "coefficient": c}
+        for mono, c in F.sorted_terms()
+    ]
     return doc
 
 

@@ -26,18 +26,6 @@ def mono_degree(mono) -> int:
     return sum(e for _, e in mono)
 
 
-def mono_expand(mono):
-    """Variable indices with multiplicity, for canonical lexicographic order."""
-    out = []
-    for v, e in mono:
-        out.extend([v] * e)
-    return tuple(out)
-
-
-def term_sort_key(mono):
-    return (mono_degree(mono), mono_expand(mono))
-
-
 def _mono_mul(a, b):
     if not a:
         return b
@@ -132,8 +120,27 @@ class SymPolynomial:
         return ds.pop() if len(ds) == 1 else None
 
     def sorted_terms(self):
-        """Terms in the canonical order (total degree, expanded index list)."""
-        return sorted(self.terms.items(), key=lambda mc: term_sort_key(mc[0]))
+        """Terms in the canonical order: by total degree, then by the index
+        list with each index repeated by its exponent, lexicographically.
+
+        Two monomials of one degree first differ there at the first index v
+        where their exponents differ, and the one with more copies of v comes
+        first.  So within a degree the order is the descending order of the
+        exponent vectors, and packing a vector into an integer with index 0
+        in the top field, in fields of ``_width`` bits that hold every
+        exponent, keeps that order.
+        """
+        width = _width(self)
+        shift = [width * (self.algebra.dim - v) for v in range(self.algebra.dim)]
+
+        def key(term):
+            degree = packed = 0
+            for v, e in term[0]:
+                degree += e
+                packed += e << shift[v]
+            return degree, -packed
+
+        return sorted(self.terms.items(), key=key)
 
     # -- ring operations -----------------------------------------------------
     def _norm(self, c):
@@ -285,31 +292,55 @@ def _unpack(key: int, table):
     return tuple(mono)
 
 
-def _ad_pass(F: SymPolynomial, element, width: int, packed):
+# the input terms an ad pass walks between two budget checks
+_STRIDE = 4096
+
+
+def _ad_pass(F: SymPolynomial, element, width: int, packed,
+             budget: Budget = UNLIMITED):
     """One ad pass over ``packed``, an iterable of (packed key, coefficient,
     factors) triples in F's algebra and ring, of the element of L with sparse
     coordinates ``element``: a re-iterable sequence of (basis index,
     coefficient) pairs, such as a list or ``dict.items()``, walked once per
-    variable.  Returns the packed image with its zero terms dropped."""
+    variable.  Returns the packed image, free of zero terms.
+
+    Over F_p the sums are kept as residues and a sum that cancels is dropped
+    at once (``pop``: a contribution of 0 mod p may land on an absent key).
+    Every ``_STRIDE`` input terms ``budget`` gets a checkpoint and the image's
+    current size."""
     alg = F.algebra
-    rows = alg.row_mod if F.ring == "modp" else alg.row_int
+    modp = F.ring == "modp"
+    rows = alg.row_mod if modp else alg.row_int
+    p = alg.params.p
     unit = [1 << (width * v) for v in range(alg.dim)]
     steps = [tuple((unit[k] - unit[v], c * rc) for idx, c in element
                    for k, rc in rows(idx, v))
              for v in range(alg.dim)]
     out = {}
     get = out.get
-    for key, c, factors in packed:
+    pop = out.pop
+    for n, (key, c, factors) in enumerate(packed):
+        if n and not n % _STRIDE:
+            budget.checkpoint()
+            budget.charge(len(out))
         for v, e in factors:
             row = steps[v]
             if row:
                 ce = c * e
-                for step, rc in row:
-                    m = key + step
-                    out[m] = get(m, 0) + ce * rc
-    if F.ring == "modp":
-        p = alg.params.p
-        return {m: r for m, c in out.items() if (r := c % p)}
+                if modp:
+                    for step, rc in row:
+                        m = key + step
+                        r = (get(m, 0) + ce * rc) % p
+                        if r:
+                            out[m] = r
+                        else:
+                            pop(m, None)
+                else:
+                    for step, rc in row:
+                        m = key + step
+                        out[m] = get(m, 0) + ce * rc
+    if modp:
+        return out
     return {m: c for m, c in out.items() if c}
 
 
@@ -323,7 +354,7 @@ def _ad_images(F: SymPolynomial, budget: Budget = UNLIMITED):
 
     def image(element):
         budget.checkpoint()
-        terms = _ad_pass(F, element, width, packed)
+        terms = _ad_pass(F, element, width, packed, budget)
         return F._bare({_unpack(m, table): c for m, c in terms.items()})
 
     return image
@@ -343,6 +374,24 @@ def ad_partial(F: SymPolynomial, axis: int) -> SymPolynomial:
     return d_gamma(F, gamma)
 
 
+def _d_gamma_packed(F: SymPolynomial, gamma, budget: Budget):
+    """The passes of d_gamma(F), gamma not zero, chained on packed keys:
+    (width, unpack table, packed image).  ``budget.charge`` sees the term
+    count after every pass; only the passes between two others are unpacked."""
+    width = _width(F)
+    packed = _pack_terms(F, width)
+    table = _unpack_table(width, F.algebra.dim)
+    for axis, g in enumerate(gamma):
+        element = [F.algebra.partial_coords[axis]]
+        for _ in range(g):
+            terms = _ad_pass(F, element, width, packed, budget)
+            budget.charge(len(terms))
+            if not terms:
+                return width, table, terms
+            packed = ((m, c, _unpack(m, table)) for m, c in terms.items())
+    return width, table, terms
+
+
 def d_gamma(F: SymPolynomial, gamma, budget: Budget = UNLIMITED) -> SymPolynomial:
     """Iterated operator ad(d_1)^g1 ... ad(d_n)^gn applied to F.
 
@@ -351,17 +400,7 @@ def d_gamma(F: SymPolynomial, gamma, budget: Budget = UNLIMITED) -> SymPolynomia
     """
     if not any(gamma):
         return F
-    width = _width(F)
-    packed = _pack_terms(F, width)
-    table = _unpack_table(width, F.algebra.dim)
-    for axis, g in enumerate(gamma):
-        element = [F.algebra.partial_coords[axis]]
-        for _ in range(g):
-            terms = _ad_pass(F, element, width, packed)
-            budget.charge(len(terms))
-            if not terms:
-                return F._bare({})
-            packed = ((m, c, _unpack(m, table)) for m, c in terms.items())
+    _, table, terms = _d_gamma_packed(F, gamma, budget)
     return F._bare({_unpack(m, table): c for m, c in terms.items()})
 
 
@@ -381,6 +420,30 @@ class InvarianceReport:
     witness: Optional[tuple] = None  # (basis index, nonzero ad image)
 
 
+def _invariance(F: SymPolynomial, width: int, packed,
+                budget: Budget) -> InvarianceReport:
+    """The annihilator test on ``packed``, the (packed key, coefficient,
+    factors) triples of a mod-p polynomial over F's algebra; only a witness's
+    image is unpacked.  See ``is_invariant``."""
+    gens = F.algebra.lie_generators()
+
+    def image(idx):
+        budget.checkpoint()
+        return _ad_pass(F, [(idx, 1)], width, packed, budget)
+
+    for g in gens:
+        img = image(g)
+        if img:
+            for idx in range(g):
+                if idx not in gens and (earlier := image(idx)):
+                    g, img = idx, earlier
+                    break
+            table = _unpack_table(width, F.algebra.dim)
+            return InvarianceReport(
+                False, (g, F._bare({_unpack(m, table): c for m, c in img.items()})))
+    return InvarianceReport(True)
+
+
 def is_invariant(F: SymPolynomial, budget: Budget = UNLIMITED) -> InvarianceReport:
     """Check ad(b)(F) = 0 for every basis element b of F's algebra.
 
@@ -393,18 +456,27 @@ def is_invariant(F: SymPolynomial, budget: Budget = UNLIMITED) -> InvarianceRepo
     """
     if F.ring != "modp":
         raise ParameterError("invariance is a mod-p statement")
-    image = _ad_images(F, budget)
-    gens = F.algebra.lie_generators()
-    for g in gens:
-        img = image([(g, 1)])
-        if img:
-            for idx in range(g):
-                if idx not in gens:
-                    earlier = image([(idx, 1)])
-                    if earlier:
-                        return InvarianceReport(False, (idx, earlier))
-            return InvarianceReport(False, (g, img))
-    return InvarianceReport(True)
+    width = _width(F)
+    return _invariance(F, width, _pack_terms(F, width), budget)
+
+
+def checked_d_delta(F: SymPolynomial, budget: Budget = UNLIMITED):
+    """(d^(delta)(F), its ``is_invariant`` report) for a mod-p F.
+
+    The check runs on the last pass of the chain, unpacked once into
+    (packed key, coefficient, factors) triples; the image is built from the
+    same factor tuples only when it passes, and is None otherwise.  A zero
+    image is returned unchecked.  ``budget`` sees the chain and the check.
+    """
+    if F.ring != "modp":
+        raise ParameterError("invariance is a mod-p statement")
+    width, table, terms = _d_gamma_packed(F, delta_of(F.algebra.params), budget)
+    packed = [(m, c, _unpack(m, table)) for m, c in terms.items()]
+    del terms
+    rep = _invariance(F, width, packed, budget) if packed else InvarianceReport(True)
+    if not rep.is_invariant:
+        return None, rep
+    return F._bare({factors: c for _, c, factors in packed}), rep
 
 
 @dataclass

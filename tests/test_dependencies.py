@@ -68,9 +68,12 @@ def test_one_ad_kernel():
     # every ad of an element of L on S(L) goes through the one packed pass
     tree = ast.parse((ROOT / "src" / "cartaninv" / "symalg.py").read_text())
     assert _functions_using(tree, {"row_mod", "row_int"}) == {"_ad_pass"}
-    assert _functions_using(tree, {"_ad_pass"}) == {"_ad_images", "d_gamma"}
-    # and each polynomial is packed once per call, by the helper or d_gamma
-    assert _functions_using(tree, {"_pack_terms"}) == {"_ad_images", "d_gamma"}
+    assert _functions_using(tree, {"_ad_pass"}) == {
+        "_ad_images", "_d_gamma_packed", "_invariance"}
+    # and each polynomial is packed once per call: by the image helper, the
+    # d_gamma chain, or is_invariant; the chain's image is checked unpacked
+    assert _functions_using(tree, {"_pack_terms"}) == {
+        "_ad_images", "_d_gamma_packed", "is_invariant"}
 
 
 def test_one_owner_of_the_table():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TripClock, load_fixture, random_poly
-from cartaninv import errors, pipeline
+from cartaninv import errors, symalg
 from cartaninv.errors import UNLIMITED, BudgetExceededError, ParameterError
 from cartaninv.algebras import build_hbar
 from cartaninv.modular import FieldParams, delta_of, dp_basis
@@ -23,7 +23,7 @@ from cartaninv.pipeline import (
     restrict_u_zero,
 )
 from cartaninv.serialize import document_to_poly
-from cartaninv.symalg import SymPolynomial, d_delta, is_invariant
+from cartaninv.symalg import SymPolynomial, is_invariant
 
 
 def test_compute_delta_integral_p3(hbar_p3):
@@ -263,7 +263,8 @@ def test_unlimited_budget_never_trips():
 
 
 class InvarianceProbe(TripClock):
-    """Records, per checkpoint, whether it was made inside is_invariant."""
+    """Records, per checkpoint, whether it was made inside the invariance
+    check that is_invariant and checked_d_delta share."""
 
     def __init__(self):
         super().__init__()
@@ -271,7 +272,7 @@ class InvarianceProbe(TripClock):
 
     def checkpoint(self):
         frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name != "is_invariant":
+        while frame is not None and frame.f_code.co_name != "_invariance":
             frame = frame.f_back
         self.inside.append(frame is not None)
         super().checkpoint()
@@ -281,14 +282,15 @@ def test_budget_trips_inside_is_invariant(hbar_p5):
     probe = InvarianceProbe()
     assert delta_star(4, hbar_p5, probe).status == "ok"
     inside = [k + 1 for k, hit in enumerate(probe.inside) if hit]
-    # one invariance check, the one delta_star makes
+    # one invariance check, the one delta_star makes on its d^(delta) image
     assert len(inside) == len(hbar_p5.h_subalgebra.lie_generators())
     for trip in inside:
         with pytest.raises(BudgetExceededError) as exc:
             delta_star(4, hbar_p5, TripClock(trip))
         names = [entry.name for entry in exc.traceback]
-        assert "is_invariant" in names
-        assert names[names.index("is_invariant") - 1] == "delta_star"
+        assert "_invariance" in names
+        at = names.index("_invariance")
+        assert names[at - 2:at] == ["delta_star", "checked_d_delta"]
 
 
 def test_independence_report_checkpoints(results_p5):
@@ -349,16 +351,40 @@ def test_verify_rejects_a_non_invariant_record(hbar_p3, record_p3):
 @pytest.mark.parametrize("power, calls", [(2, 1), (4, 2)])
 def test_delta_star_runs_d_delta_once_on_its_generator(monkeypatch, hbar_p5,
                                                        power, calls):
-    # Delta_2 keeps u^2 as generator, so compute_delta's pass is the only one
+    # Delta_2 keeps u^2 as generator, so compute_delta's chain is the only
+    # one; otherwise the checked chain runs once more, on the generator
     seen = []
+    chain = symalg._d_gamma_packed
 
-    def counting(*args):
-        seen.append(args[0])
-        return d_delta(*args)
+    def counting(F, *args):
+        seen.append(F)
+        return chain(F, *args)
 
-    monkeypatch.setattr(pipeline, "d_delta", counting)
-    assert delta_star(power, hbar_p5).status == "ok"
+    monkeypatch.setattr(symalg, "_d_gamma_packed", counting)
+    result = delta_star(power, hbar_p5)
+    assert result.status == "ok"
     assert len(seen) == calls
+    assert seen[0] == SymPolynomial.variable(hbar_p5, hbar_p5.dim - 1, "int") ** power
+    assert seen.count(result.record.generator) == calls - 1
+
+
+@pytest.mark.parametrize("power, status", [(8, "ok"), (10, "not-invariant")])
+def test_delta_star_checks_the_image_before_unpacking_it(monkeypatch, power, status):
+    # compute_delta packs u^power and the checked chain the generator; the
+    # image is checked on the chain's last pass and never packed again
+    hbar = build_hbar(FieldParams(7, 2, (1, 1)), verify=False)
+    generator, _ = phi_normalize(restrict_u_zero(compute_delta(power, hbar)))
+    packed = []
+    pack = symalg._pack_terms
+
+    def counted(F, width):
+        packed.append(F)
+        return pack(F, width)
+
+    monkeypatch.setattr(symalg, "_pack_terms", counted)
+    assert delta_star(power, hbar).status == status
+    u = SymPolynomial.variable(hbar, hbar.dim - 1, "int")
+    assert packed == [u ** power, generator]
 
 
 def test_delta_series_divisible_by_u(hbar_p5):

@@ -1,6 +1,8 @@
 import gc
 import random
 import tracemalloc
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,8 +14,8 @@ from conftest import (
     random_poly,
 )
 from cartaninv.algebras import build_hbar, build_w, decompose
-from cartaninv import symalg
-from cartaninv.errors import BudgetExceededError, ParameterError
+from cartaninv import errors, symalg
+from cartaninv.errors import Budget, BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of
 from cartaninv.symalg import (
     SymPolynomial,
@@ -133,6 +135,27 @@ def test_unpack_round_trip(p):
         for width in range(top, mono_degree(mono).bit_length() + 1):
             key = sum(e << (width * v) for v, e in mono)
             assert symalg._unpack(key, symalg._unpack_table(width, dim)) == mono
+
+
+def test_residue_pass_matches_the_oracle_on_cancelling_images(record_p3, results_p5,
+                                                              sweep_p7):
+    # a record's image cancels term by term, so every partial sum of the pass
+    # drops out as it reaches 0 mod p; with one extra monomial a little is left
+    records = [record_p3, *(r.record for r in results_p5.values()), *sweep_p7.records]
+    assert len(records) == 8
+    for rec in records:
+        F = rec.invariant
+        alg = F.algebra
+        degree = F.homogeneous_degree()
+        extra = next(SymPolynomial(alg, "modp", {((v, degree),): 1})
+                     for v in range(alg.dim) if ((v, degree),) not in F.terms)
+        image, image_extra = symalg._ad_images(F), symalg._ad_images(F + extra)
+        for idx in (*alg.lie_generators(), alg.index["u_{0,2}"]):
+            want = ad_index_oracle(F, idx)
+            assert want.is_zero()
+            assert image([(idx, 1)]) == want
+            # the oracle is linear: the image of F + m is F's plus m's
+            assert image_extra([(idx, 1)]) == want + ad_index_oracle(extra, idx)
 
 
 def test_d_delta_shares_equal_factor_pairs(results_p5):
@@ -354,6 +377,61 @@ def test_is_invariant_checkpoints_each_pass(results_p5):
         is_invariant(inv, TripClock(trip=3))
 
 
+def test_budget_trips_inside_one_long_pass(monkeypatch, hbar_p5):
+    # a clock that reads the number of input terms the pass has taken: a
+    # deadline passed inside a pass trips it at most one stride later
+    h = hbar_p5.h_subalgebra
+    F = SymPolynomial(h, "modp", {
+        tuple(Counter(mono).items()): 1
+        for mono in combinations_with_replacement(range(h.dim), 4)})
+    assert len(F) > 3 * symalg._STRIDE
+    width = symalg._width(F)
+    element = [(h.index["u_{1,0}"], 1)]
+    read = [0]
+
+    def counted():
+        for term in symalg._pack_terms(F, width):
+            read[0] += 1
+            yield term
+
+    monkeypatch.setattr(errors.time, "monotonic", lambda: read[0])
+    want = symalg._ad_pass(F, element, width, counted())
+    for deadline in (0, symalg._STRIDE, symalg._STRIDE + 1, 5000, 9000):
+        read[0] = 0
+        budget = Budget(max_seconds=deadline)
+        with pytest.raises(BudgetExceededError, match="time"):
+            symalg._ad_pass(F, element, width, counted(), budget)
+        assert 0 <= read[0] - (deadline + 1) <= symalg._STRIDE
+        assert read[0] < len(F)
+    # the term count of the image so far is charged at the same checks
+    read[0] = 0
+    with pytest.raises(BudgetExceededError, match="term budget"):
+        symalg._ad_pass(F, element, width, counted(), Budget(max_terms=100))
+    assert read[0] == symalg._STRIDE + 1
+    read[0] = 0
+    assert symalg._ad_pass(F, element, width, counted(),
+                           Budget(max_terms=len(want), max_seconds=len(F))) == want
+
+
+def test_checked_d_delta_agrees_with_d_delta_and_is_invariant(hbar_p3, hbar_p5,
+                                                              results_p5):
+    rng = random.Random(47)
+    polys = [SymPolynomial.one(hbar_p5.h_subalgebra),
+             results_p5[6].record.generator]
+    for alg in (hbar_p3, hbar_p3.h_subalgebra, hbar_p5.h_subalgebra):
+        polys += [random_poly(rng, alg, max_degree=4, nterms=6) for _ in range(8)]
+    outcomes = set()
+    for F in polys:
+        image, rep = symalg.checked_d_delta(F)
+        want = d_delta(F)
+        assert rep == is_invariant(want)
+        assert image == (want if rep.is_invariant else None)
+        outcomes.add((rep.is_invariant, bool(want)))
+    assert outcomes == {(True, False), (True, True), (False, True)}
+    with pytest.raises(ParameterError, match="mod-p"):
+        symalg.checked_d_delta(SymPolynomial.one(hbar_p3, "int"))
+
+
 def test_check_generator_w(w1_p3):
     zero = SymPolynomial.zero(w1_p3)
     assert check_generator_w(zero).ok
@@ -443,3 +521,25 @@ def test_homogeneous_degree(hbar_p3):
     assert (u * u).homogeneous_degree() == 2
     assert (u + u * v).homogeneous_degree() is None
     assert SymPolynomial.zero(hbar_p3).homogeneous_degree() == 0
+
+
+def test_sorted_terms_is_the_expanded_index_order(hbar_p5, results_p5):
+    # by degree, then by the index list with each index repeated by its
+    # exponent; exponents at the packed field boundaries included
+    def expanded(term):
+        return mono_degree(term[0]), [v for v, e in term[0] for _ in range(e)]
+
+    rng = random.Random(53)
+    dim = hbar_p5.dim
+    polys = [r.record.invariant for r in results_p5.values()]
+    for _ in range(20):
+        terms = {}
+        for _ in range(60):
+            size = rng.randint(1, 4)
+            mono = tuple((v, rng.choice((1, 2, 7, 8, 15, 16)))
+                         for v in sorted(rng.sample([0, 1, dim - 2, dim - 1], size)))
+            terms[mono] = 1
+        polys.append(SymPolynomial(hbar_p5, "modp", terms))
+        polys.append(random_poly(rng, hbar_p5, max_degree=6, nterms=60))
+    for F in polys:
+        assert F.sorted_terms() == sorted(F.terms.items(), key=expanded)
