@@ -250,12 +250,14 @@ def render_text(F: SymPolynomial) -> str:
 
 # -- adjoint action ----------------------------------------------------------
 #
-# The ad passes run on packed keys: the monomial ((v, e), ...) becomes the
-# integer sum of e << (width * v), where width is the bit length of the largest
-# total degree (1 for constants).  A pass keeps every monomial's degree, so no
-# exponent outgrows its field, and moving one power from factor v to factor k
-# is one addition of unit[k] - unit[v].  Packing never leaves this layer:
-# every SymPolynomial keeps tuple keys.
+# The ad passes run on packed keys: over an algebra of dimension dim, the
+# monomial ((v, e), ...) becomes the integer sum of e << (width * (dim - 1 - v)),
+# where width is the bit length of the largest total degree (1 for
+# constants): index 0 in the top field, so reading a key top field first
+# meets its factors in ascending index.  A pass keeps every monomial's
+# degree, so no exponent outgrows its field, and moving one power from
+# factor v to factor k is one addition of unit[k] - unit[v].  Packing never
+# leaves this layer: every SymPolynomial keeps tuple keys.
 
 def _width(F: SymPolynomial) -> int:
     top = max((mono_degree(m) for m in F.terms), default=0)
@@ -263,23 +265,26 @@ def _width(F: SymPolynomial) -> int:
 
 
 def _pack_terms(F: SymPolynomial, width: int):
-    """(packed key, coefficient, factors) triples for the terms of F."""
-    return [(sum(e << (width * v) for v, e in m), c, m) for m, c in F.terms.items()]
+    """(packed key, coefficient) pairs for the terms of F."""
+    top = width * (F.algebra.dim - 1)
+    return [(sum(e << (top - width * v) for v, e in m), c) for m, c in F.terms.items()]
 
 
 def _unpack_table(width: int, dim: int):
     """For each bit length b of a packed key: the shift of its top field, and
     that field's variable's (index, exponent) pairs, indexed by exponent.  The
-    pairs are made once here and shared by every monomial unpacked with it."""
+    pairs are made once here and shared by every monomial unpacked with it.
+    Field f from the bottom holds variable dim - 1 - f."""
     rows = [[(v, e) for e in range(1 << width)] for v in range(dim)]
     lengths = range(width * dim + 1)
     return ([(b - 1) // width * width for b in lengths],
-            [rows[(b - 1) // width] for b in lengths])
+            [rows[-1 - (b - 1) // width] for b in lengths])
 
 
 def _unpack(key: int, table):
-    """The monomial tuple of a packed key, peeling off its top field: the
-    shift alone isolates it, with no mask or negation."""
+    """The monomial tuple of a packed key, peeling off its top field, the
+    lowest index left: the shift alone isolates it, with no mask or
+    negation."""
     shifts, pairs = table
     mono = []
     while key:
@@ -288,8 +293,14 @@ def _unpack(key: int, table):
         e = key >> s
         mono.append(pairs[b][e])
         key ^= e << s
-    mono.reverse()
     return tuple(mono)
+
+
+def _unpacked(F: SymPolynomial, width: int, terms) -> SymPolynomial:
+    """The tuple-keyed polynomial over F's algebra and ring of ``terms``, a
+    map from packed keys to coefficients."""
+    table = _unpack_table(width, F.algebra.dim)
+    return F._bare({_unpack(m, table): c for m, c in terms.items()})
 
 
 # the input terms an ad pass walks between two budget checks
@@ -298,11 +309,17 @@ _STRIDE = 4096
 
 def _ad_pass(F: SymPolynomial, element, width: int, packed,
              budget: Budget = UNLIMITED):
-    """One ad pass over ``packed``, an iterable of (packed key, coefficient,
-    factors) triples in F's algebra and ring, of the element of L with sparse
+    """One ad pass over ``packed``, an iterable of (packed key, coefficient)
+    pairs in F's algebra and ring, of the element of L with sparse
     coordinates ``element``: a re-iterable sequence of (basis index,
     coefficient) pairs, such as a list or ``dict.items()``, walked once per
-    variable.  Returns the packed image, free of zero terms.
+    variable.  Returns the packed image, a map from packed keys to
+    coefficients free of zero terms.
+
+    The factors are read off each key top field first, in ascending index,
+    as ``_unpack`` reads them, after masking the key to ``live``: the fields
+    of the variables the element moves.  A dead field is never read, and a
+    key with no live field costs one ``&``.
 
     Over F_p the sums are kept as residues and a sum that cancels is dropped
     at once (``pop``: a contribution of 0 mod p may land on an absent key).
@@ -312,33 +329,39 @@ def _ad_pass(F: SymPolynomial, element, width: int, packed,
     modp = F.ring == "modp"
     rows = alg.row_mod if modp else alg.row_int
     p = alg.params.p
-    unit = [1 << (width * v) for v in range(alg.dim)]
+    unit = [1 << (width * f) for f in reversed(range(alg.dim))]
     steps = [tuple((unit[k] - unit[v], c * rc) for idx, c in element
                    for k, rc in rows(idx, v))
              for v in range(alg.dim)]
+    live = sum(unit[v] * ((1 << width) - 1) for v, row in enumerate(steps) if row)
+    # for each bit length of a key: its top field's shift, the row of that
+    # field's variable, and the mask of the fields below it
+    fields = [None] + [(width * f, steps[-1 - f], (1 << (width * f)) - 1)
+                       for f in range(alg.dim) for _ in range(width)]
     out = {}
     get = out.get
     pop = out.pop
-    for n, (key, c, factors) in enumerate(packed):
+    for n, (key, c) in enumerate(packed):
         if n and not n % _STRIDE:
             budget.checkpoint()
             budget.charge(len(out))
-        for v, e in factors:
-            row = steps[v]
-            if row:
-                ce = c * e
-                if modp:
-                    for step, rc in row:
-                        m = key + step
-                        r = (get(m, 0) + ce * rc) % p
-                        if r:
-                            out[m] = r
-                        else:
-                            pop(m, None)
-                else:
-                    for step, rc in row:
-                        m = key + step
-                        out[m] = get(m, 0) + ce * rc
+        rest = key & live
+        while rest:
+            s, row, below = fields[rest.bit_length()]
+            ce = c * (rest >> s)
+            rest &= below
+            if modp:
+                for step, rc in row:
+                    m = key + step
+                    r = (get(m, 0) + ce * rc) % p
+                    if r:
+                        out[m] = r
+                    else:
+                        pop(m, None)
+            else:
+                for step, rc in row:
+                    m = key + step
+                    out[m] = get(m, 0) + ce * rc
     if modp:
         return out
     return {m: c for m, c in out.items() if c}
@@ -346,16 +369,14 @@ def _ad_pass(F: SymPolynomial, element, width: int, packed,
 
 def _ad_images(F: SymPolynomial, budget: Budget = UNLIMITED):
     """The map from an element of L, as (basis index, coefficient) pairs, to its
-    ad image of F.  F is packed once, and one unpack table serves every image;
-    ``budget.checkpoint()`` runs before each image's pass."""
+    ad image of F.  F is packed once for every image; ``budget.checkpoint()``
+    runs before each image's pass."""
     width = _width(F)
     packed = _pack_terms(F, width)
-    table = _unpack_table(width, F.algebra.dim)
 
     def image(element):
         budget.checkpoint()
-        terms = _ad_pass(F, element, width, packed, budget)
-        return F._bare({_unpack(m, table): c for m, c in terms.items()})
+        return _unpacked(F, width, _ad_pass(F, element, width, packed, budget))
 
     return image
 
@@ -376,32 +397,31 @@ def ad_partial(F: SymPolynomial, axis: int) -> SymPolynomial:
 
 def _d_gamma_packed(F: SymPolynomial, gamma, budget: Budget):
     """The passes of d_gamma(F), gamma not zero, chained on packed keys:
-    (width, unpack table, packed image).  ``budget.charge`` sees the term
-    count after every pass; only the passes between two others are unpacked."""
+    (width, packed image).  Each pass reads the (key, coefficient) pairs of
+    the one before; nothing is unpacked.  ``budget.charge`` sees the term
+    count after every pass."""
     width = _width(F)
     packed = _pack_terms(F, width)
-    table = _unpack_table(width, F.algebra.dim)
     for axis, g in enumerate(gamma):
         element = [F.algebra.partial_coords[axis]]
         for _ in range(g):
             terms = _ad_pass(F, element, width, packed, budget)
             budget.charge(len(terms))
             if not terms:
-                return width, table, terms
-            packed = ((m, c, _unpack(m, table)) for m, c in terms.items())
-    return width, table, terms
+                return width, terms
+            packed = terms.items()
+    return width, terms
 
 
 def d_gamma(F: SymPolynomial, gamma, budget: Budget = UNLIMITED) -> SymPolynomial:
     """Iterated operator ad(d_1)^g1 ... ad(d_n)^gn applied to F.
 
-    The passes chain on packed keys; ``budget.charge`` sees the term count
-    after every pass.
+    The passes chain on packed keys, and only the last image is unpacked;
+    ``budget.charge`` sees the term count after every pass.
     """
     if not any(gamma):
         return F
-    _, table, terms = _d_gamma_packed(F, gamma, budget)
-    return F._bare({_unpack(m, table): c for m, c in terms.items()})
+    return _unpacked(F, *_d_gamma_packed(F, gamma, budget))
 
 
 def d_delta(F: SymPolynomial, budget: Budget = UNLIMITED) -> SymPolynomial:
@@ -422,9 +442,9 @@ class InvarianceReport:
 
 def _invariance(F: SymPolynomial, width: int, packed,
                 budget: Budget) -> InvarianceReport:
-    """The annihilator test on ``packed``, the (packed key, coefficient,
-    factors) triples of a mod-p polynomial over F's algebra; only a witness's
-    image is unpacked.  See ``is_invariant``."""
+    """The annihilator test on ``packed``, the re-iterable (packed key,
+    coefficient) pairs of a mod-p polynomial over F's algebra; only a
+    witness's image is unpacked.  See ``is_invariant``."""
     gens = F.algebra.lie_generators()
 
     def image(idx):
@@ -438,9 +458,7 @@ def _invariance(F: SymPolynomial, width: int, packed,
                 if idx not in gens and (earlier := image(idx)):
                     g, img = idx, earlier
                     break
-            table = _unpack_table(width, F.algebra.dim)
-            return InvarianceReport(
-                False, (g, F._bare({_unpack(m, table): c for m, c in img.items()})))
+            return InvarianceReport(False, (g, _unpacked(F, width, img)))
     return InvarianceReport(True)
 
 
@@ -463,20 +481,18 @@ def is_invariant(F: SymPolynomial, budget: Budget = UNLIMITED) -> InvarianceRepo
 def checked_d_delta(F: SymPolynomial, budget: Budget = UNLIMITED):
     """(d^(delta)(F), its ``is_invariant`` report) for a mod-p F.
 
-    The check runs on the last pass of the chain, unpacked once into
-    (packed key, coefficient, factors) triples; the image is built from the
-    same factor tuples only when it passes, and is None otherwise.  A zero
-    image is returned unchecked.  ``budget`` sees the chain and the check.
+    The check walks the packed pairs of the chain's last pass; the image is
+    unpacked only when it passes, and is None otherwise.  A zero image is
+    returned unchecked.  ``budget`` sees the chain and the check.
     """
     if F.ring != "modp":
         raise ParameterError("invariance is a mod-p statement")
-    width, table, terms = _d_gamma_packed(F, delta_of(F.algebra.params), budget)
-    packed = [(m, c, _unpack(m, table)) for m, c in terms.items()]
-    del terms
-    rep = _invariance(F, width, packed, budget) if packed else InvarianceReport(True)
+    width, terms = _d_gamma_packed(F, delta_of(F.algebra.params), budget)
+    rep = (_invariance(F, width, terms.items(), budget) if terms
+           else InvarianceReport(True))
     if not rep.is_invariant:
         return None, rep
-    return F._bare({factors: c for _, c, factors in packed}), rep
+    return _unpacked(F, width, terms), rep
 
 
 @dataclass

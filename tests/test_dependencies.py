@@ -71,9 +71,15 @@ def test_one_ad_kernel():
     assert _functions_using(tree, {"_ad_pass"}) == {
         "_ad_images", "_d_gamma_packed", "_invariance"}
     # and each polynomial is packed once per call: by the image helper, the
-    # d_gamma chain, or is_invariant; the chain's image is checked unpacked
+    # d_gamma chain, or is_invariant; the chain's image is checked packed
     assert _functions_using(tree, {"_pack_terms"}) == {
         "_ad_images", "_d_gamma_packed", "is_invariant"}
+    # the kernel reads the factors off the packed key itself; a monomial is
+    # unpacked only into a polynomial that is returned: an ad image, a
+    # d_gamma result, an image that passed the check, or a witness
+    assert _functions_using(tree, {"_unpack", "_unpack_table"}) == {"_unpacked"}
+    assert _functions_using(tree, {"_unpacked"}) == {
+        "_ad_images", "d_gamma", "checked_d_delta", "_invariance"}
 
 
 def test_one_owner_of_the_table():

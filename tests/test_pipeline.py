@@ -387,6 +387,57 @@ def test_delta_star_checks_the_image_before_unpacking_it(monkeypatch, power, sta
     assert packed == [u ** power, generator]
 
 
+@pytest.fixture(scope="module")
+def generators_p7():
+    """The p = 7 generators of powers 8 and 10, the last invariant and the
+    first refused candidate of the sweep."""
+    hbar = build_hbar(FieldParams(7, 2, (1, 1)), verify=False)
+    return {power: phi_normalize(restrict_u_zero(compute_delta(power, hbar)))[0]
+            for power in (8, 10)}
+
+
+@pytest.fixture
+def unpack_count(monkeypatch):
+    """The number of monomials unpacked after the fixture is set up."""
+    calls = [0]
+    unpack = symalg._unpack
+
+    def counted(key, table):
+        calls[0] += 1
+        return unpack(key, table)
+
+    monkeypatch.setattr(symalg, "_unpack", counted)
+    return calls
+
+
+def test_checked_d_delta_unpacks_only_what_it_returns(generators_p7, unpack_count):
+    # the chain and the check read packed keys: only the returned image, or
+    # the witness's image, is unpacked
+    image, rep = symalg.checked_d_delta(generators_p7[8])
+    assert rep.is_invariant and len(image) == 35_665
+    assert unpack_count[0] == 35_665
+    unpack_count[0] = 0
+    image, rep = symalg.checked_d_delta(generators_p7[10])
+    g, witness = rep.witness
+    assert image is None and witness.algebra.basis[g].label == "u_{0,2}"
+    assert unpack_count[0] == len(witness) == 114
+
+
+@pytest.mark.parametrize("gamma", [(1, 0), (0, 3), (2, 5), (6, 6)])
+def test_d_gamma_unpacks_only_its_result(generators_p7, unpack_count, gamma):
+    F = generators_p7[8]
+    image = symalg.d_gamma(F, gamma)
+    assert image and unpack_count[0] == len(image)
+
+
+def test_term_budget_trip_inside_a_pass_keeps_its_count():
+    # each pass reads a key's factors in ascending index, so the image fills
+    # in the same order and a stride check inside a pass sees the same count
+    report = conjecture_sweep(7, Budget(max_terms=20_000))
+    assert report.note == ("budget exhausted at power 8: "
+                           "term budget exceeded: 21558 > 20000")
+
+
 def test_delta_series_divisible_by_u(hbar_p5):
     # Delta_i minus its restriction is a multiple of u: every term of the
     # difference carries the top variable

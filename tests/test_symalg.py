@@ -2,7 +2,7 @@ import gc
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -100,6 +100,101 @@ def test_ad_pass_matches_tuple_key_oracle(kernel_algebras, ring):
                 ad_index_oracle(F, i, ci) + ad_index_oracle(F, j, cj))
 
 
+@pytest.fixture(scope="module")
+def h_algebras(hbar_p5):
+    """H_2(1,1) and Hbar_2(1,1) at p = 5 and p = 7."""
+    hbar_p7 = build_hbar(FieldParams(7, 2, (1, 1)), verify=False)
+    return [hbar_p5.h_subalgebra, hbar_p5, hbar_p7.h_subalgebra, hbar_p7]
+
+
+def moved(alg, ring, element):
+    """The variables whose field the ad pass of ``element`` reads: those
+    with a nonzero row in the ring."""
+    rows = alg.row_mod if ring == "modp" else alg.row_int
+    return {v for v in range(alg.dim) if any(rows(idx, v) for idx, _ in element)}
+
+
+def fill(rng, width, n):
+    """n positive exponents whose sum fills a field of exactly ``width`` bits."""
+    degree = rng.randrange(1 << (width - 1), 1 << width)
+    cuts = sorted(rng.sample(range(1, degree), n - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+
+
+@pytest.mark.parametrize("ring", ["modp", "int"])
+def test_ad_pass_skips_dead_fields_like_the_oracle(h_algebras, ring):
+    # monomials whose top field, bottom field or every field the element does
+    # not move, with exponents that fill 3-, 4- and 5-bit fields
+    rng = random.Random(53)
+    for alg in h_algebras:
+        p = alg.params.p
+        nonzero = 0
+        for idx in range(alg.dim):
+            element = [(idx, rng.randrange(1, p))]
+            live = sorted(moved(alg, ring, element))
+            dead = sorted(set(range(alg.dim)).difference(live))
+            if not live or not dead:
+                continue
+            for width in (3, 4, 5):
+                cases = []
+                if dead[-1] > live[0]:  # a dead top field over a live one
+                    top = rng.choice([v for v in dead if v > live[0]])
+                    low = rng.choice([v for v in live if v < top])
+                    cases.append((low, top))
+                if dead[0] < live[-1]:  # a dead bottom field under a live one
+                    bottom = rng.choice([v for v in dead if v < live[-1]])
+                    high = rng.choice([v for v in live if v > bottom])
+                    cases.append((bottom, high))
+                for vs in cases:
+                    F = SymPolynomial(alg, ring, {
+                        tuple(zip(vs, fill(rng, width, 2))): rng.randrange(1, p)})
+                    assert symalg._width(F) == width
+                    image = ad_element(F, element)
+                    assert image == ad_index_oracle(F, *element[0])
+                    # an exponent divisible by p leaves nothing mod p
+                    nonzero += bool(image)
+                # every field dead: the image is empty
+                vs = sorted(rng.sample(dead, min(3, len(dead))))
+                F = SymPolynomial(alg, ring, {
+                    tuple(zip(vs, fill(rng, width, len(vs)))): 1})
+                assert symalg._width(F) == width
+                assert ad_element(F, element).is_zero()
+                assert ad_index_oracle(F, *element[0]).is_zero()
+        assert nonzero >= 2 * alg.dim
+        # ad(u_{1,0}) moves no u_{k,0}: it kills their products
+        xs = [alg.index[f"u_{{{k},0}}"] for k in range(1, p)]
+        F = SymPolynomial(alg, ring, {tuple(zip(xs, fill(rng, 5, p - 1))): 1,
+                                      tuple(zip(xs[1:3], fill(rng, 4, 2))): 2})
+        assert ad_element(F, [(alg.index["u_{1,0}"], 1)]).is_zero()
+
+
+@pytest.mark.parametrize("ring", ["modp", "int"])
+def test_two_pair_element_reads_the_union_of_live_fields(h_algebras, ring):
+    # each pair of the element moves a variable the other does not: the pass
+    # must read both fields, with a field neither moves on top
+    rng = random.Random(59)
+    for alg in h_algebras:
+        p = alg.params.p
+        found = 0
+        for i, j in rng.sample(list(combinations(range(alg.dim), 2)), 60):
+            ci, cj = rng.randrange(1, p), -rng.randrange(1, p)
+            mi, mj = moved(alg, ring, [(i, ci)]), moved(alg, ring, [(j, cj)])
+            both = moved(alg, ring, [(i, ci), (j, cj)])
+            only_i, only_j = sorted(mi - mj), sorted(mj - mi)
+            dead = sorted(set(range(alg.dim)) - both)
+            if not (only_i and only_j and dead):
+                continue
+            assert both == mi | mj and both > mi and both > mj
+            found += 1
+            vs = sorted({rng.choice(only_i), rng.choice(only_j), dead[-1]})
+            width = rng.choice((3, 4, 5))
+            F = SymPolynomial(alg, ring, {
+                tuple(zip(vs, fill(rng, width, len(vs)))): rng.randrange(1, p)})
+            want = ad_index_oracle(F, i, ci) + ad_index_oracle(F, j, cj)
+            assert ad_element(F, [(i, ci), (j, cj)]) == want
+        assert found >= 10
+
+
 @pytest.mark.parametrize("e, width", [(7, 3), (8, 4), (15, 4), (16, 5)])
 def test_packed_width_boundaries(hbar_p5, e, width):
     # one variable whose exponent fills its field, next to both neighbours
@@ -122,8 +217,9 @@ def test_packed_width_boundaries(hbar_p5, e, width):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_unpack_round_trip(p):
-    # the top-field-first unpack must still give the factors in ascending index
-    dim = build_hbar(FieldParams(p, 2, (1, 1)), verify=False).dim
+    # the top-field-first unpack must give the factors in ascending index
+    hbar = build_hbar(FieldParams(p, 2, (1, 1)), verify=False)
+    dim = hbar.dim
     rng = random.Random(41 + p)
     for _ in range(200):
         size = rng.randint(1, 4)
@@ -133,7 +229,7 @@ def test_unpack_round_trip(p):
         # from the narrowest field that holds every exponent up to the degree's
         top = max(e for _, e in mono).bit_length()
         for width in range(top, mono_degree(mono).bit_length() + 1):
-            key = sum(e << (width * v) for v, e in mono)
+            (key, _), = symalg._pack_terms(SymPolynomial(hbar, "int", {mono: 1}), width)
             assert symalg._unpack(key, symalg._unpack_table(width, dim)) == mono
 
 
@@ -390,9 +486,9 @@ def test_budget_trips_inside_one_long_pass(monkeypatch, hbar_p5):
     read = [0]
 
     def counted():
-        for term in symalg._pack_terms(F, width):
+        for key, c in symalg._pack_terms(F, width):
             read[0] += 1
-            yield term
+            yield key, c
 
     monkeypatch.setattr(errors.time, "monotonic", lambda: read[0])
     want = symalg._ad_pass(F, element, width, counted())
