@@ -26,6 +26,7 @@ Basis conventions:
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from operator import le
 from typing import NamedTuple
 
@@ -118,6 +119,7 @@ class CartanAlgebra:
         self._mod_rows = {}
         self._solver = None
         self._generators = None
+        self._partials_commute = None
         self.partial_coords = tuple(self._locate_partial(ax) for ax in range(params.n))
         if verify:
             self._verify_closure(budget)
@@ -182,6 +184,31 @@ class CartanAlgebra:
                                  if span.solve({i: 1}) is None))
             self._generators = tuple(sorted(gens))
         return self._generators
+
+    def partials_commute(self) -> bool:
+        """Whether ad(d_a) ad(d_b) z = ad(d_b) ad(d_a) z mod p for every basis
+        element z and every pair of partials d_a, d_b, read off the mod-p rows.
+
+        A derivation of S(L) is fixed by its values on L, so then the
+        derivations extending ad(d_a) commute on S(L) too.  Jacobi makes this
+        hold for every honest table; a planted row can break it.  Computed on
+        first use and cached on the instance.
+        """
+        if self._partials_commute is None:
+            p = self.params.p
+
+            def twice(a, b, z):
+                out = {}
+                for k, c in self.row_mod(b, z):
+                    for t, rc in self.row_mod(a, k):
+                        out[t] = (out.get(t, 0) + c * rc) % p
+                return {t: c for t, c in out.items() if c}
+
+            idxs = [i for i, _ in self.partial_coords]
+            self._partials_commute = all(
+                twice(a, b, z) == twice(b, a, z)
+                for a, b in combinations(idxs, 2) for z in range(self.dim))
+        return self._partials_commute
 
     def _bracket_closure(self, gens):
         """SpanSolver over F_p spanning the subalgebra generated by ``gens``.

@@ -33,6 +33,7 @@ from cartaninv.symalg import (
     check_generator_sh,
     check_generator_w,
     d_delta,
+    d_gamma,
     is_invariant,
 )
 
@@ -239,6 +240,31 @@ def test_criterion_7_identity_suites(hbar_p3, hbar_p5, w2_p3):
         assert commutation_expansion_check(top, Fw)
     print("\nACCEPTANCE 7 PASS: top-binomial sign identity, nilpotency of "
           "ad(d_i), annihilation of d^(delta) images, commutation expansion")
+
+
+def test_criterion_7_partials_commute_on_s_of_l(w2_p3, w2_p5, s2_p3, s2_p5,
+                                               hbar_p3, hbar_p5):
+    # the identity the invariance check's grade -1 certificate rests on:
+    # ad(d_a) d_gamma = d_gamma ad(d_a) on S(L), so ad(d_a) d^(delta)(F) is
+    # D_a^(delta_a+1)(F) carried through the other factors
+    from conftest import random_poly
+    rng = random.Random(71)
+    algebras = (w2_p3, w2_p5, s2_p3, s2_p5, hbar_p3.h_subalgebra,
+                hbar_p5.h_subalgebra, hbar_p3, hbar_p5)
+    for alg in algebras:
+        assert alg.partials_commute()
+        delta = alg.params.p - 1
+        nonzero = 0
+        for _ in range(6):
+            F = random_poly(rng, alg, max_degree=3, nterms=4)
+            gamma = (rng.randrange(delta), rng.randrange(delta))
+            for a in range(2):
+                lhs = ad_partial(d_gamma(F, gamma), a)
+                assert lhs == d_gamma(ad_partial(F, a), gamma)
+                nonzero += bool(lhs)
+        assert nonzero >= 10, f"{alg}: {nonzero} of 12 values nonzero"
+    print("\nACCEPTANCE 7b PASS: the partials' ad operators commute on S(L) "
+          "for W_2, S_2, H_2 and Hbar_2 at p = 3 and 5")
 
 
 def test_criterion_8_lambda_and_independence(results_p5):

@@ -70,10 +70,12 @@ def test_one_ad_kernel():
     assert _functions_using(tree, {"row_mod", "row_int"}) == {"_ad_pass"}
     assert _functions_using(tree, {"_ad_pass"}) == {
         "_ad_images", "_d_gamma_packed", "_invariance"}
-    # and each polynomial is packed once per call: by the image helper, the
-    # d_gamma chain, or is_invariant; the chain's image is checked packed
+    # and each polynomial is packed once per call: by the image helper,
+    # d_gamma, is_invariant, or checked_d_delta, which shares the packed
+    # generator between its chain and the check's front chains; the chain's
+    # image is checked packed
     assert _functions_using(tree, {"_pack_terms"}) == {
-        "_ad_images", "_d_gamma_packed", "is_invariant"}
+        "_ad_images", "d_gamma", "is_invariant", "checked_d_delta"}
     # the kernel reads the factors off the packed key itself; a monomial is
     # unpacked only into a polynomial that is returned: an ad image, a
     # d_gamma result, an image that passed the check, or a witness

@@ -282,8 +282,12 @@ def test_budget_trips_inside_is_invariant(hbar_p5):
     probe = InvarianceProbe()
     assert delta_star(4, hbar_p5, probe).status == "ok"
     inside = [k + 1 for k, hit in enumerate(probe.inside) if hit]
-    # one invariance check, the one delta_star makes on its d^(delta) image
-    assert len(inside) == len(hbar_p5.h_subalgebra.lie_generators())
+    # one invariance check, the one delta_star makes on its d^(delta) image:
+    # a checkpoint before each generator's pass, and a charge after each pass
+    # of the grade -1 generator's front chain D^5(F); it stops before its
+    # third pass, which would take its reads (32 + 29 + 39 terms) past the
+    # image's 78, and the direct pass runs
+    assert len(inside) == len(hbar_p5.h_subalgebra.lie_generators()) + 2
     for trip in inside:
         with pytest.raises(BudgetExceededError) as exc:
             delta_star(4, hbar_p5, TripClock(trip))
@@ -352,20 +356,26 @@ def test_verify_rejects_a_non_invariant_record(hbar_p3, record_p3):
 def test_delta_star_runs_d_delta_once_on_its_generator(monkeypatch, hbar_p5,
                                                        power, calls):
     # Delta_2 keeps u^2 as generator, so compute_delta's chain is the only
-    # one; otherwise the checked chain runs once more, on the generator
+    # d^(delta) chain; otherwise the checked chain runs once more, on the
+    # generator, and the check chains D^p of the grade -1 generator
+    # u_{1,0} = d_2 on the generator as well
     seen = []
     chain = symalg._d_gamma_packed
 
-    def counting(F, *args):
-        seen.append(F)
-        return chain(F, *args)
+    def counting(F, gamma, *args):
+        seen.append((F, tuple(gamma)))
+        return chain(F, gamma, *args)
 
     monkeypatch.setattr(symalg, "_d_gamma_packed", counting)
     result = delta_star(power, hbar_p5)
     assert result.status == "ok"
-    assert len(seen) == calls
-    assert seen[0] == SymPolynomial.variable(hbar_p5, hbar_p5.dim - 1, "int") ** power
-    assert seen.count(result.record.generator) == calls - 1
+    delta = delta_of(hbar_p5.params)
+    chains = [F for F, gamma in seen if gamma == delta]
+    assert len(chains) == calls
+    assert chains[0] == SymPolynomial.variable(hbar_p5, hbar_p5.dim - 1, "int") ** power
+    assert chains.count(result.record.generator) == calls - 1
+    fronts = [(F, gamma) for F, gamma in seen if gamma != delta]
+    assert fronts == [(result.record.generator, (0, 5))][:calls - 1]
 
 
 @pytest.mark.parametrize("power, status", [(8, "ok"), (10, "not-invariant")])
@@ -385,6 +395,31 @@ def test_delta_star_checks_the_image_before_unpacking_it(monkeypatch, power, sta
     assert delta_star(power, hbar).status == status
     u = SymPolynomial.variable(hbar, hbar.dim - 1, "int")
     assert packed == [u ** power, generator]
+
+
+def test_delta_star_checks_the_partials_on_the_generator(monkeypatch):
+    # ad(d_a) of d^(delta)(F) is D_a^(delta_a+1)(F) carried through the other
+    # factors, so u_{1,0} and u_{0,1} are checked by chains from the generator
+    # (64 and 10 terms at powers 8 and 10), never by a pass on the image
+    hbar = build_hbar(FieldParams(7, 2, (1, 1)), verify=False)
+    passes = []
+    ad_pass = symalg._ad_pass
+
+    def counted(F, element, width, packed, *args):
+        if F.algebra is hbar.h_subalgebra:
+            passes.append((F.algebra.basis[element[0][0]].label, len(packed)))
+        return ad_pass(F, element, width, packed, *args)
+
+    monkeypatch.setattr(symalg, "_ad_pass", counted)
+    for power, image_size in ((8, 35_665), (10, 31_333)):
+        passes.clear()
+        result = delta_star(power, hbar)
+        assert ("u_{0,6}", image_size) in passes  # a pass on the image
+        partials = [n for label, n in passes if label in ("u_{1,0}", "u_{0,1}")]
+        assert partials and image_size not in partials
+    idx, witness = result.witness
+    assert witness.algebra.basis[idx].label == "u_{0,2}" and len(witness) == 114
+    assert ("u_{0,2}", 31_333) in passes
 
 
 @pytest.fixture(scope="module")

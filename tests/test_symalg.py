@@ -13,7 +13,7 @@ from conftest import (
     random_derivation,
     random_poly,
 )
-from cartaninv.algebras import build_hbar, build_w, decompose
+from cartaninv.algebras import CartanAlgebra, build_hbar, build_w, decompose
 from cartaninv import errors, symalg
 from cartaninv.errors import Budget, BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of
@@ -509,21 +509,56 @@ def test_budget_trips_inside_one_long_pass(monkeypatch, hbar_p5):
                            Budget(max_terms=len(want), max_seconds=len(F))) == want
 
 
+def planted(alg, rows):
+    """``alg``'s table, unverified, with the row [label, other] replaced by
+    ``row`` for each ((label, other), row) of ``rows``; a row is a list of
+    (label, coefficient) pairs."""
+    table = dict(alg.rows_int)
+    for (label, other), row in rows.items():
+        i, j = alg.index[label], alg.index[other]
+        assert i < j
+        table[(i, j)] = tuple((alg.index[k], c) for k, c in row)
+    return CartanAlgebra(alg.kind, alg.params, alg.basis, table, verify=False)
+
+
 def test_checked_d_delta_agrees_with_d_delta_and_is_invariant(hbar_p3, hbar_p5,
-                                                              results_p5):
+                                                              results_p5, w2_p3,
+                                                              s2_p5):
     rng = random.Random(47)
     polys = [SymPolynomial.one(hbar_p5.h_subalgebra),
              results_p5[6].record.generator]
-    for alg in (hbar_p3, hbar_p3.h_subalgebra, hbar_p5.h_subalgebra):
+    for alg in (hbar_p3, hbar_p3.h_subalgebra, hbar_p5.h_subalgebra, w2_p3, s2_p5):
         polys += [random_poly(rng, alg, max_degree=4, nterms=6) for _ in range(8)]
+    # ad(d_2) plus the identity on the x^(a,2) d_1, which ad(d_1) preserves:
+    # the partials commute and D_2^3 is not zero, so the direct pass finds
+    # the witness; in both tables the chain D_2^3 of F reads no more terms
+    # than the image holds, so the read limit does not stop it
+    shifted = planted(w2_p3, {
+        ("x^(0,0)d_2", f"x^({a},2)d_1"): [(f"x^({a},2)d_1", 1), (f"x^({a},1)d_1", 1)]
+        for a in range(3)})
+    assert shifted.partials_commute()
+    # ad(d_2) fixes x^(1,0) d_1, which ad(d_1) takes to d_1, which ad(d_2)
+    # kills: the partials do not commute, and D_2^3(F) = 0 while ad(d_2) of
+    # the image is not zero, so the shortcut is refused
+    twisted = planted(w2_p3, {("x^(0,0)d_2", "x^(1,0)d_1"): [("x^(1,0)d_1", 1)]})
+    assert not twisted.partials_commute()
+    planted_polys = [SymPolynomial.from_label(alg, "x^(2,0)d_2")
+                     * SymPolynomial.from_label(alg, "x^(2,2)d_1")
+                     for alg in (shifted, twisted)]
+    for F, front in zip(planted_polys, (True, False)):
+        assert bool(d_gamma(F, (0, 3))) == front
+        assert sum(len(d_gamma(F, (0, k))) for k in range(3)) <= len(d_delta(F))
     outcomes = set()
-    for F in polys:
+    for F in polys + planted_polys:
         image, rep = symalg.checked_d_delta(F)
         want = d_delta(F)
         assert rep == is_invariant(want)
         assert image == (want if rep.is_invariant else None)
         outcomes.add((rep.is_invariant, bool(want)))
     assert outcomes == {(True, False), (True, True), (False, True)}
+    for F in planted_polys:
+        g, witness = symalg.checked_d_delta(F)[1].witness
+        assert g == F.algebra.partial_coords[-1][0] and witness
     with pytest.raises(ParameterError, match="mod-p"):
         symalg.checked_d_delta(SymPolynomial.one(hbar_p3, "int"))
 
