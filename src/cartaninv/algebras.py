@@ -195,20 +195,22 @@ class CartanAlgebra:
         first use and cached on the instance.
         """
         if self._partials_commute is None:
-            p = self.params.p
-
-            def twice(a, b, z):
-                out = {}
-                for k, c in self.row_mod(b, z):
-                    for t, rc in self.row_mod(a, k):
-                        out[t] = (out.get(t, 0) + c * rc) % p
-                return {t: c for t, c in out.items() if c}
-
+            ad = self._ad_mod
             idxs = [i for i, _ in self.partial_coords]
             self._partials_commute = all(
-                twice(a, b, z) == twice(b, a, z)
+                ad(a, ad(b, {z: 1})) == ad(b, ad(a, {z: 1}))
                 for a, b in combinations(idxs, 2) for z in range(self.dim))
         return self._partials_commute
+
+    def _ad_mod(self, g, vec):
+        """ad(b_g) of the coordinate vector ``vec``, read off the mod-p rows:
+        its nonzero residues."""
+        p = self.params.p
+        out = {}
+        for k, c in vec.items():
+            for t, rc in self.row_mod(g, k):
+                out[t] = (out.get(t, 0) + c * rc) % p
+        return {t: c for t, c in out.items() if c}
 
     def _bracket_closure(self, gens):
         """SpanSolver over F_p spanning the subalgebra generated by ``gens``.
@@ -221,10 +223,7 @@ class CartanAlgebra:
         while fresh:
             vec = fresh.pop()
             for g in gens:
-                out = {}
-                for k, c in vec.items():
-                    for t, rc in self.row_mod(g, k):
-                        out[t] = out.get(t, 0) + c * rc
+                out = self._ad_mod(g, vec)
                 if span.insert(out):
                     fresh.append(out)
         return span

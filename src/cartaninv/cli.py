@@ -226,16 +226,18 @@ def _heights(text):
 
 
 def _labels(text):
-    """``--labels``: comma-separated record labels, each ``Delta_<i>`` or
-    ``Delta_<i>_star``, checked because they become store file names."""
+    """``--labels``: comma-separated distinct record labels, each ``Delta_<i>``
+    or ``Delta_<i>_star``, checked because they become store file names."""
     labels = tuple(x for x in text.split(",") if x)
     if not labels:
         raise argparse.ArgumentTypeError("expected at least one record label")
-    for label in labels:
+    for k, label in enumerate(labels):
         digits = label[len("Delta_"):].removesuffix("_star")
         if not (label.startswith("Delta_") and digits.isascii() and digits.isdigit()):
             raise argparse.ArgumentTypeError(
                 f"bad record label {label!r}: expected Delta_<i> or Delta_<i>_star")
+        if label in labels[:k]:
+            raise argparse.ArgumentTypeError(f"repeated record label {label!r}")
     return labels
 
 

@@ -52,11 +52,6 @@ class FieldParams:
         if any(mi < 1 for mi in self.m):
             raise ParameterError(f"every m_i must be >= 1, got {self.m}")
 
-    @property
-    def dim_k(self) -> int:
-        """Dimension p^(m_1+...+m_n) of the underlying truncated algebra."""
-        return self.p ** sum(self.m)
-
 
 def validate_for_kind(params: FieldParams, kind: str) -> None:
     """Kind-specific constraints: S needs n >= 2, H and Hbar need n even and

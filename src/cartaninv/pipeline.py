@@ -255,7 +255,9 @@ def _product_expr(exps, records):
 
 
 def independence_report(records, budget: Budget = UNLIMITED) -> IndependenceReport:
-    """The stepwise independence evidence: each record against all earlier ones.
+    """The stepwise independence evidence: each record against all earlier ones
+    in ascending degree (a stable sort).  A product is at least as high in
+    degree as each factor, so the count does not depend on the input order.
 
     A record is declared independent of its predecessors either vacuously (no
     product of earlier records has its degree), by lambda mismatch (every
@@ -275,6 +277,9 @@ def independence_report(records, budget: Budget = UNLIMITED) -> IndependenceRepo
             raise ParameterError(f"{r.label} is not lambda-homogeneous")
     p = alg.params.p
     degrees = [r.invariant.homogeneous_degree() for r in records]
+    order = sorted(range(len(records)), key=degrees.__getitem__)
+    records = [records[i] for i in order]
+    degrees = [degrees[i] for i in order]
     entries = []
     all_ok = True
     for k, rec in enumerate(records):

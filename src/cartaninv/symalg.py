@@ -127,18 +127,16 @@ class SymPolynomial:
         Two monomials of one degree first differ there at the first index v
         where their exponents differ, and the one with more copies of v comes
         first.  So within a degree the order is the descending order of the
-        exponent vectors, and packing a vector into an integer with index 0
-        in the top field, in fields of ``_width`` bits that hold every
-        exponent, keeps that order.
+        exponent vectors, and the packed key, index 0 in the top field, keeps
+        that order.
         """
-        width = _width(self)
-        shift = [width * (self.algebra.dim - v) for v in range(self.algebra.dim)]
+        unit = _units(_width(self), self.algebra.dim)
 
         def key(term):
             degree = packed = 0
             for v, e in term[0]:
                 degree += e
-                packed += e << shift[v]
+                packed += e * unit[v]
             return degree, -packed
 
         return sorted(self.terms.items(), key=key)
@@ -252,56 +250,58 @@ def render_text(F: SymPolynomial) -> str:
 # -- adjoint action ----------------------------------------------------------
 #
 # The ad passes run on packed keys: over an algebra of dimension dim, the
-# monomial ((v, e), ...) becomes the integer sum of e << (width * (dim - 1 - v)),
-# where width is the bit length of the largest total degree (1 for
-# constants): index 0 in the top field, so reading a key top field first
-# meets its factors in ascending index.  A pass keeps every monomial's
-# degree, so no exponent outgrows its field, and moving one power from
-# factor v to factor k is one addition of unit[k] - unit[v].  Packing never
-# leaves this layer: every SymPolynomial keeps tuple keys.
+# monomial ((v, e), ...) becomes the integer sum of e * unit[v], with unit =
+# _units(width, dim) and width the bit length of the largest total degree (1
+# for constants): index 0 in the top field, so reading a key top field first
+# through _fields meets its factors in ascending index.  A pass keeps every
+# monomial's degree, so no exponent outgrows its field, and moving one power
+# from factor v to factor k is one addition of unit[k] - unit[v].  Packing
+# never leaves this layer: every SymPolynomial keeps tuple keys.
 
 def _width(F: SymPolynomial) -> int:
     top = max((mono_degree(m) for m in F.terms), default=0)
     return top.bit_length() or 1
 
 
+def _units(width: int, dim: int):
+    """The packed key of each variable to the first power: index 0 in the top
+    field."""
+    return [1 << (width * f) for f in reversed(range(dim))]
+
+
+def _fields(width: int, per_variable):
+    """For each bit length of a packed key: its top field's shift, the entry
+    of ``per_variable`` for that field's variable, and the mask of the fields
+    below it.  Field f from the bottom holds variable dim - 1 - f."""
+    return [None] + [(width * f, per_variable[-1 - f], (1 << (width * f)) - 1)
+                     for f in range(len(per_variable)) for _ in range(width)]
+
+
 def _pack_terms(F: SymPolynomial, width: int):
     """(packed key, coefficient) pairs for the terms of F."""
-    top = width * (F.algebra.dim - 1)
-    return [(sum(e << (top - width * v) for v, e in m), c) for m, c in F.terms.items()]
+    unit = _units(width, F.algebra.dim)
+    return [(sum(e * unit[v] for v, e in m), c) for m, c in F.terms.items()]
 
 
-def _unpack_table(width: int, dim: int):
-    """For each bit length b of a packed key: the shift of its top field, and
-    that field's variable's (index, exponent) pairs, indexed by exponent.  The
-    pairs are made once here and shared by every monomial unpacked with it.
-    Field f from the bottom holds variable dim - 1 - f."""
-    rows = [[(v, e) for e in range(1 << width)] for v in range(dim)]
-    lengths = range(width * dim + 1)
-    return ([(b - 1) // width * width for b in lengths],
-            [rows[-1 - (b - 1) // width] for b in lengths])
-
-
-def _unpack(key: int, table):
+def _unpack(key: int, fields):
     """The monomial tuple of a packed key, peeling off its top field, the
-    lowest index left: the shift alone isolates it, with no mask or
-    negation."""
-    shifts, pairs = table
+    lowest index left, as the ad kernel does; ``fields`` maps each field to
+    its variable's (index, exponent) pairs, indexed by exponent."""
     mono = []
     while key:
-        b = key.bit_length()
-        s = shifts[b]
-        e = key >> s
-        mono.append(pairs[b][e])
-        key ^= e << s
+        s, pairs, below = fields[key.bit_length()]
+        mono.append(pairs[key >> s])
+        key &= below
     return tuple(mono)
 
 
 def _unpacked(F: SymPolynomial, width: int, terms) -> SymPolynomial:
     """The tuple-keyed polynomial over F's algebra and ring of ``terms``, a
-    map from packed keys to coefficients."""
-    table = _unpack_table(width, F.algebra.dim)
-    return F._bare({_unpack(m, table): c for m, c in terms.items()})
+    map from packed keys to coefficients.  The (index, exponent) pairs are
+    made once here and shared by every monomial unpacked."""
+    fields = _fields(width, [[(v, e) for e in range(1 << width)]
+                             for v in range(F.algebra.dim)])
+    return F._bare({_unpack(m, fields): c for m, c in terms.items()})
 
 
 # the input terms an ad pass walks between two budget checks
@@ -330,15 +330,12 @@ def _ad_pass(F: SymPolynomial, element, width: int, packed,
     modp = F.ring == "modp"
     rows = alg.row_mod if modp else alg.row_int
     p = alg.params.p
-    unit = [1 << (width * f) for f in reversed(range(alg.dim))]
+    unit = _units(width, alg.dim)
     steps = [tuple((unit[k] - unit[v], c * rc) for idx, c in element
                    for k, rc in rows(idx, v))
              for v in range(alg.dim)]
     live = sum(unit[v] * ((1 << width) - 1) for v, row in enumerate(steps) if row)
-    # for each bit length of a key: its top field's shift, the row of that
-    # field's variable, and the mask of the fields below it
-    fields = [None] + [(width * f, steps[-1 - f], (1 << (width * f)) - 1)
-                       for f in range(alg.dim) for _ in range(width)]
+    fields = _fields(width, steps)
     out = {}
     get = out.get
     pop = out.pop

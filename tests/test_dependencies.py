@@ -79,9 +79,19 @@ def test_one_ad_kernel():
     # the kernel reads the factors off the packed key itself; a monomial is
     # unpacked only into a polynomial that is returned: an ad image, a
     # d_gamma result, an image that passed the check, or a witness
-    assert _functions_using(tree, {"_unpack", "_unpack_table"}) == {"_unpacked"}
+    assert _functions_using(tree, {"_unpack"}) == {"_unpacked"}
     assert _functions_using(tree, {"_unpacked"}) == {
         "_ad_images", "d_gamma", "checked_d_delta", "_invariance"}
+    # one key layout: the units of the variables and the bit-length field
+    # table are each built in one place, and the kernel, the unpacker, the
+    # packer and the canonical sort all read them
+    assert _functions_using(tree, {"_fields"}) == {"_ad_pass", "_unpacked"}
+    assert _functions_using(tree, {"_units"}) == {
+        "_pack_terms", "SymPolynomial", "_ad_pass"}
+    poly, = (node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "SymPolynomial")
+    assert _functions_using(poly, {"_units"}) == {"sorted_terms"}
+    assert "_unpack_table" not in ast.dump(tree)
 
 
 def test_one_owner_of_the_table():

@@ -99,8 +99,6 @@ def test_field_params_validation():
         FieldParams(3, 2, (1,))
     with pytest.raises(ParameterError):
         FieldParams(3, 2, (1, 0))
-    pr = FieldParams(3, 2, (1, 2))
-    assert pr.dim_k == 27
 
 
 def test_p_valuation():

@@ -179,6 +179,20 @@ def test_independence_p5(results_p5):
     assert report.independent_count == 2 and not report.all_independent
 
 
+def test_independence_orders_the_records_by_degree(results_p5):
+    # Delta_4_star = Delta_2^2 is found whichever label comes first: each
+    # record is tested against the records of lower degree
+    records = [results_p5[i].record for i in (2, 4, 6)]
+    want = independence_report(records)
+    for shuffled in ([records[1], records[0]], records[::-1],
+                     [records[2], records[0], records[1]]):
+        report = independence_report(shuffled)
+        assert report.entries == tuple(e for e in want.entries
+                                       if any(r.label == e.label for r in shuffled))
+        assert report.independent_count == len(shuffled) - 1
+        assert not report.all_independent
+
+
 def test_independence_direct_comparison(results_p5):
     # the underlying fact behind the dependent verdict
     D2 = results_p5[2].record.invariant

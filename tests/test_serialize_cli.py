@@ -610,6 +610,29 @@ def test_cli_labels_must_follow_the_grammar(tmp_path, capsys, labels):
     assert "bad record label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", ["Delta_2,Delta_2", "Delta_2,Delta_4_star,Delta_2"])
+def test_cli_labels_must_not_repeat(tmp_path, capsys, labels):
+    # a repeated record is malformed input, not a dependency to report
+    rc = main(["independence", "--p", "3", "--store", str(tmp_path),
+               "--labels", labels])
+    assert rc == EX_USAGE
+    assert "repeated record label 'Delta_2'" in capsys.readouterr().err
+
+
+def test_cli_independence_does_not_depend_on_label_order(tmp_path, capsys,
+                                                         hbar_p5, results_p5):
+    serialize.save_structure_constants(tmp_path, hbar_p5)
+    for result in results_p5.values():
+        serialize.save_record(tmp_path, result.record)
+    argv = ["independence", "--p", "5", "--store", str(tmp_path), "--labels"]
+    assert main(argv + ["Delta_2,Delta_4_star"]) == EX_FAIL
+    want = capsys.readouterr().out
+    assert "dependency: Delta_4_star = 1*Delta_2^2" in want
+    assert want.endswith("independent records: 1 of 2\n")
+    assert main(argv + ["Delta_4_star,Delta_2"]) == EX_FAIL
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("argv", [
     ["independence", "--labels", "Delta_2,Delta_4_star,Delta_6_star"],
     ["invariant-compute", "--power", "4"],

@@ -230,7 +230,8 @@ def test_unpack_round_trip(p):
         top = max(e for _, e in mono).bit_length()
         for width in range(top, mono_degree(mono).bit_length() + 1):
             (key, _), = symalg._pack_terms(SymPolynomial(hbar, "int", {mono: 1}), width)
-            assert symalg._unpack(key, symalg._unpack_table(width, dim)) == mono
+            rows = [[(v, e) for e in range(1 << width)] for v in range(dim)]
+            assert symalg._unpack(key, symalg._fields(width, rows)) == mono
 
 
 def test_residue_pass_matches_the_oracle_on_cancelling_images(record_p3, results_p5,
