@@ -119,7 +119,7 @@ class CartanAlgebra:
         self._mod_rows = {}
         self._solver = None
         self._generators = None
-        self._partials_commute = None
+        self._delta_annihilators = None
         self.partial_coords = tuple(self._locate_partial(ax) for ax in range(params.n))
         if verify:
             self._verify_closure(budget)
@@ -185,22 +185,39 @@ class CartanAlgebra:
             self._generators = tuple(sorted(gens))
         return self._generators
 
-    def partials_commute(self) -> bool:
-        """Whether ad(d_a) ad(d_b) z = ad(d_b) ad(d_a) z mod p for every basis
-        element z and every pair of partials d_a, d_b, read off the mod-p rows.
+    def delta_annihilators(self) -> frozenset:
+        """The basis indices idx of the partials d_a = c b_idx, all or none,
+        for which the mod-p rows prove ad(b_idx) d^(delta)(F) = 0 on S(L).
 
-        A derivation of S(L) is fixed by its values on L, so then the
-        derivations extending ad(d_a) commute on S(L) too.  Jacobi makes this
-        hold for every honest table; a planted row can break it.  Computed on
-        first use and cached on the instance.
+        Write D_a for the derivation of S(L) extending ad(d_a); a derivation
+        is fixed by its values on L, so two checks on the basis suffice:
+        (1) D_a D_b z = D_b D_a z for every pair of partials, and
+        (2) D_a^(delta_a+1) z = 0.  In characteristic p, D_a^(delta_a+1) =
+        D_a^(p^m_a) is a derivation, so (2) makes it zero on S(L), and with (1)
+
+            ad(b_idx) d^(delta)(F) = c^-1 (prod over b != a of D_b^delta_b) D_a^(delta_a+1)(F) = 0.
+
+        Jacobi and the truncation make both hold for every honest table; a
+        planted row can break either.  Computed on first use and cached on
+        the instance.
         """
-        if self._partials_commute is None:
+        if self._delta_annihilators is None:
             ad = self._ad_mod
             idxs = [i for i, _ in self.partial_coords]
-            self._partials_commute = all(
-                ad(a, ad(b, {z: 1})) == ad(b, ad(a, {z: 1}))
-                for a, b in combinations(idxs, 2) for z in range(self.dim))
-        return self._partials_commute
+
+            def killed(i, k, z):
+                vec = {z: 1}
+                for _ in range(k):
+                    vec = ad(i, vec)
+                return not vec
+
+            commute = all(ad(a, ad(b, {z: 1})) == ad(b, ad(a, {z: 1}))
+                          for a, b in combinations(idxs, 2) for z in range(self.dim))
+            nilpotent = all(killed(i, d + 1, z)
+                            for i, d in zip(idxs, delta_of(self.params))
+                            for z in range(self.dim))
+            self._delta_annihilators = frozenset(idxs if commute and nilpotent else ())
+        return self._delta_annihilators
 
     def _ad_mod(self, g, vec):
         """ad(b_g) of the coordinate vector ``vec``, read off the mod-p rows:

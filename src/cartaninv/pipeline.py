@@ -191,7 +191,8 @@ def delta_star(power: int, algebra: CartanAlgebra,
         power=power,
         invariant=invariant,
         generator=generator,
-        lambda_value=lambda_homogeneity(invariant),
+        # each ad(d_a) step raises lambda by one
+        lambda_value=lambda_homogeneity(generator) + sum(delta_of(algebra.params)),
         term_count=len(invariant),
         p_power_m=m,
     )

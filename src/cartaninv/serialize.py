@@ -153,16 +153,16 @@ def document_to_poly(doc, algebra: CartanAlgebra) -> SymPolynomial:
     ring = doc.get("ring")
     if ring not in ("int", "modp"):
         raise SerializationError(f"unknown ring {ring!r}")
-    entries = doc.get("terms", [])
+    entries = doc.get("terms")
     if not isinstance(entries, list):
-        raise SerializationError("the term list is not a list")
+        raise SerializationError("the term list is missing or not a list")
     terms = {}
     for entry in entries:
         if not isinstance(entry, dict):
             raise SerializationError(f"malformed term entry {entry!r}")
-        pairs = entry.get("monomial", [])
+        pairs = entry.get("monomial")
         if not isinstance(pairs, list):
-            raise SerializationError(f"malformed monomial {pairs!r}")
+            raise SerializationError(f"missing or malformed monomial {pairs!r}")
         mono = []
         for pair in pairs:
             if not isinstance(pair, list) or len(pair) != 2:

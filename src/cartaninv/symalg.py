@@ -12,7 +12,6 @@ with all exponents positive.  The empty tuple is the constant monomial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -393,21 +392,14 @@ def ad_partial(F: SymPolynomial, axis: int) -> SymPolynomial:
     return d_gamma(F, gamma)
 
 
-def _d_gamma_packed(F: SymPolynomial, gamma, width: int, packed, budget: Budget,
-                    limit=math.inf):
+def _d_gamma_packed(F: SymPolynomial, gamma, width: int, packed, budget: Budget):
     """The passes of d_gamma(F), gamma not zero, chained on packed keys from
     ``packed``, F's (key, coefficient) pairs at ``width``: the packed image.
     Each pass reads the pairs of the one before; nothing is unpacked.
-    ``budget.charge`` sees the term count after every pass.  None is returned
-    in place of a pass that would take the input terms the chain has read
-    past ``limit``."""
-    read = 0
+    ``budget.charge`` sees the term count after every pass."""
     for axis, g in enumerate(gamma):
         element = [F.algebra.partial_coords[axis]]
         for _ in range(g):
-            read += len(packed)
-            if read > limit:
-                return None
             terms = _ad_pass(F, element, width, packed, budget)
             budget.charge(len(terms))
             if not terms:
@@ -446,17 +438,17 @@ class InvarianceReport:
 
 
 def _invariance(F: SymPolynomial, width: int, packed, budget: Budget,
-                vanishes=lambda idx: False) -> InvarianceReport:
+                proven=frozenset()) -> InvarianceReport:
     """The annihilator test on ``packed``, the re-iterable (packed key,
     coefficient) pairs of a mod-p polynomial over F's algebra; only a
-    witness's image is unpacked.  See ``is_invariant``.  A basis index for
-    which ``vanishes`` returns True has a zero image, proven by the caller,
-    and gets no pass on ``packed``."""
+    witness's image is unpacked.  See ``is_invariant``.  A basis index in
+    ``proven`` has a zero image, proven by the caller, and gets no pass on
+    ``packed``."""
     gens = F.algebra.lie_generators()
 
     def image(idx):
         budget.checkpoint()
-        if vanishes(idx):
+        if idx in proven:
             return {}
         return _ad_pass(F, [(idx, 1)], width, packed, budget)
 
@@ -494,34 +486,18 @@ def checked_d_delta(F: SymPolynomial, budget: Budget = UNLIMITED):
     unpacked only when it passes, and is None otherwise.  A zero image is
     returned unchecked.  ``budget`` sees the chain and the check.
 
-    The operators D_a = ad(d_a) of the partials d_a = c b_idx commute when
-    ``partials_commute()`` holds, and then
-    ad(b_idx) d^(delta)(F) = c^-1 (prod over b != a of D_b^delta_b) D_a^(delta_a+1)(F).
-    So the check first chains D_a^(delta_a+1) on F, packed once with the
-    chain; a zero result proves the pass on the image zero.  A nonzero one,
-    a chain that would read more input terms than the image holds, or a
-    table whose partials do not commute gets the direct pass.
+    The partials' indices in ``F.algebra.delta_annihilators()`` get no pass:
+    the table proves their ad zero on every d^(delta) image.
     """
     if F.ring != "modp":
         raise ParameterError("invariance is a mod-p statement")
     alg = F.algebra
-    delta = delta_of(alg.params)
     width = _width(F)
-    packed = _pack_terms(F, width)
-    terms = _d_gamma_packed(F, delta, width, packed, budget)
+    terms = _d_gamma_packed(F, delta_of(alg.params), width, _pack_terms(F, width),
+                            budget)
     if not terms:
         return _unpacked(F, width, terms), InvarianceReport(True)
-    # the gamma of D_a^(delta_a+1) for each partial's basis index
-    fronts = ({idx: tuple(d + 1 if b == axis else 0
-                          for b, d in enumerate(delta))
-               for axis, (idx, _) in enumerate(alg.partial_coords)}
-              if alg.partials_commute() else {})
-
-    def vanishes(idx):
-        return idx in fronts and _d_gamma_packed(F, fronts[idx], width, packed,
-                                                 budget, len(terms)) == {}
-
-    rep = _invariance(F, width, terms.items(), budget, vanishes)
+    rep = _invariance(F, width, terms.items(), budget, alg.delta_annihilators())
     if not rep.is_invariant:
         return None, rep
     return _unpacked(F, width, terms), rep

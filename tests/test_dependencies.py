@@ -71,9 +71,8 @@ def test_one_ad_kernel():
     assert _functions_using(tree, {"_ad_pass"}) == {
         "_ad_images", "_d_gamma_packed", "_invariance"}
     # and each polynomial is packed once per call: by the image helper,
-    # d_gamma, is_invariant, or checked_d_delta, which shares the packed
-    # generator between its chain and the check's front chains; the chain's
-    # image is checked packed
+    # d_gamma, is_invariant, or checked_d_delta, whose chain's image is
+    # checked packed
     assert _functions_using(tree, {"_pack_terms"}) == {
         "_ad_images", "d_gamma", "is_invariant", "checked_d_delta"}
     # the kernel reads the factors off the packed key itself; a monomial is

@@ -118,17 +118,23 @@ def test_delta_star_p5(hbar_p5, results_p5):
         "Delta_2", "Delta_4_star", "Delta_6_star"]
 
 
-def test_record_laws(hbar_p5, results_p5):
-    delta = (4, 4)
-    for r in results_p5.values():
-        rec = r.record
-        rec.verify(hbar_p5)  # re-derives the record and compares every field
+def test_record_laws(hbar_p5, results_p5, sweep_p7):
+    hbar_p7 = build_hbar(FieldParams(7, 2, (1, 1)), verify=False)
+    records = [(hbar_p5, r.record) for r in results_p5.values()]
+    records += [(hbar_p7, rec) for rec in sweep_p7.records]
+    assert len(records) == 7
+    for hbar, rec in records:
+        p = hbar.params.p
+        rec.verify(hbar)  # re-derives the record and compares every field
         assert is_invariant(rec.invariant).is_invariant
-        gen_lam = lambda_homogeneity(rec.generator)
-        assert rec.lambda_value == gen_lam + sum(delta)
+        # delta_star reads lambda off the generator; the invariant's own
+        # terms must agree with it
+        assert rec.lambda_value == lambda_homogeneity(rec.invariant)
+        assert rec.lambda_value == (lambda_homogeneity(rec.generator)
+                                    + sum(delta_of(hbar.params)))
         # not a p-th power: some exponent is not divisible by p
         assert any(
-            e % 5 for mono in rec.invariant.terms for _, e in mono
+            e % p for mono in rec.invariant.terms for _, e in mono
         )
 
 
@@ -297,11 +303,9 @@ def test_budget_trips_inside_is_invariant(hbar_p5):
     assert delta_star(4, hbar_p5, probe).status == "ok"
     inside = [k + 1 for k, hit in enumerate(probe.inside) if hit]
     # one invariance check, the one delta_star makes on its d^(delta) image:
-    # a checkpoint before each generator's pass, and a charge after each pass
-    # of the grade -1 generator's front chain D^5(F); it stops before its
-    # third pass, which would take its reads (32 + 29 + 39 terms) past the
-    # image's 78, and the direct pass runs
-    assert len(inside) == len(hbar_p5.h_subalgebra.lie_generators()) + 2
+    # a checkpoint before each generator's pass, the grade -1 generator's
+    # included, though the table proves its image zero and it gets no pass
+    assert len(inside) == len(hbar_p5.h_subalgebra.lie_generators())
     for trip in inside:
         with pytest.raises(BudgetExceededError) as exc:
             delta_star(4, hbar_p5, TripClock(trip))
@@ -371,8 +375,8 @@ def test_delta_star_runs_d_delta_once_on_its_generator(monkeypatch, hbar_p5,
                                                        power, calls):
     # Delta_2 keeps u^2 as generator, so compute_delta's chain is the only
     # d^(delta) chain; otherwise the checked chain runs once more, on the
-    # generator, and the check chains D^p of the grade -1 generator
-    # u_{1,0} = d_2 on the generator as well
+    # generator, and no other chain runs: the table proves the grade -1
+    # checks of the image
     seen = []
     chain = symalg._d_gamma_packed
 
@@ -389,7 +393,7 @@ def test_delta_star_runs_d_delta_once_on_its_generator(monkeypatch, hbar_p5,
     assert chains[0] == SymPolynomial.variable(hbar_p5, hbar_p5.dim - 1, "int") ** power
     assert chains.count(result.record.generator) == calls - 1
     fronts = [(F, gamma) for F, gamma in seen if gamma != delta]
-    assert fronts == [(result.record.generator, (0, 5))][:calls - 1]
+    assert fronts == []
 
 
 @pytest.mark.parametrize("power, status", [(8, "ok"), (10, "not-invariant")])
@@ -411,10 +415,30 @@ def test_delta_star_checks_the_image_before_unpacking_it(monkeypatch, power, sta
     assert packed == [u ** power, generator]
 
 
+@pytest.mark.parametrize("power", [4, 6])
+def test_delta_star_makes_no_partial_pass_in_the_check(monkeypatch, hbar_p5, power):
+    # the table proves ad(d_a) of every d^(delta) image zero, so the check
+    # passes the other generators over the image and no partial
+    checked = []
+    ad_pass = symalg._ad_pass
+
+    def counted(F, element, *args):
+        if sys._getframe(1).f_back.f_code.co_name == "_invariance":
+            checked.append(element)
+        return ad_pass(F, element, *args)
+
+    monkeypatch.setattr(symalg, "_ad_pass", counted)
+    assert delta_star(power, hbar_p5).status == "ok"
+    alg = hbar_p5.h_subalgebra
+    partials = {idx for idx, _ in alg.partial_coords}
+    assert partials == alg.delta_annihilators()
+    assert checked == [[(g, 1)] for g in alg.lie_generators() if g not in partials]
+
+
 def test_delta_star_checks_the_partials_on_the_generator(monkeypatch):
     # ad(d_a) of d^(delta)(F) is D_a^(delta_a+1)(F) carried through the other
-    # factors, so u_{1,0} and u_{0,1} are checked by chains from the generator
-    # (64 and 10 terms at powers 8 and 10), never by a pass on the image
+    # factors, which the table proves zero, so u_{1,0} and u_{0,1} pass only
+    # in the chain from the generator, never on the image
     hbar = build_hbar(FieldParams(7, 2, (1, 1)), verify=False)
     passes = []
     ad_pass = symalg._ad_pass

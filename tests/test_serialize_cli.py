@@ -348,6 +348,19 @@ def _set(path, value):
     return mangle
 
 
+def _drop(path):
+    """A mangle that deletes the key ``path`` from the record."""
+
+    def mangle(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return doc
+
+    return mangle
+
+
 MALFORMED_TERMS = [
     pytest.param(_set(("invariant", "terms", 0), [1]), id="term_not_object"),
     pytest.param(_set(("invariant", "terms", 0, "monomial"), 5),
@@ -355,6 +368,8 @@ MALFORMED_TERMS = [
     pytest.param(_set(("invariant", "terms", 0, "monomial", 0, 0), ["u_{1,1}"]),
                  id="label_is_list"),
     pytest.param(_set(("invariant", "terms"), 5), id="terms_not_list"),
+    pytest.param(_drop(("invariant", "terms")), id="terms_missing"),
+    pytest.param(_drop(("invariant", "terms", 0, "monomial")), id="monomial_missing"),
 ]
 
 # JSON true parses to a bool, which Python also counts as the int 1
@@ -391,12 +406,17 @@ def test_document_to_record_malformed(hbar_p3, record_p3):
 
 
 def test_cli_generator_check_malformed_poly_exits_2(tmp_path, capsys, record_p3):
-    doc = serialize.poly_to_document(record_p3.generator)
-    doc["terms"][0] = [1]
+    # a term that is not an object, and no term list at all, which is not
+    # the zero polynomial
+    bad_term = serialize.poly_to_document(record_p3.generator)
+    bad_term["terms"][0] = [1]
+    no_terms = serialize.poly_to_document(record_p3.generator)
+    del no_terms["terms"]
     path = tmp_path / "poly.json"
-    path.write_text(json.dumps(doc))
-    assert main(["generator-check", "--p", "3", "--poly", str(path)]) == EX_USAGE
-    assert "error:" in capsys.readouterr().err
+    for doc in (bad_term, no_terms):
+        path.write_text(json.dumps(doc))
+        assert main(["generator-check", "--p", "3", "--poly", str(path)]) == EX_USAGE
+        assert "error:" in capsys.readouterr().err
 
 
 def test_cli_generator_check(capsys):

@@ -531,24 +531,23 @@ def test_checked_d_delta_agrees_with_d_delta_and_is_invariant(hbar_p3, hbar_p5,
     for alg in (hbar_p3, hbar_p3.h_subalgebra, hbar_p5.h_subalgebra, w2_p3, s2_p5):
         polys += [random_poly(rng, alg, max_degree=4, nterms=6) for _ in range(8)]
     # ad(d_2) plus the identity on the x^(a,2) d_1, which ad(d_1) preserves:
-    # the partials commute and D_2^3 is not zero, so the direct pass finds
-    # the witness; in both tables the chain D_2^3 of F reads no more terms
-    # than the image holds, so the read limit does not stop it
+    # the partials commute, but D_2^3 is not zero, so the table proves
+    # nothing and the direct pass finds the witness
     shifted = planted(w2_p3, {
         ("x^(0,0)d_2", f"x^({a},2)d_1"): [(f"x^({a},2)d_1", 1), (f"x^({a},1)d_1", 1)]
         for a in range(3)})
-    assert shifted.partials_commute()
-    # ad(d_2) fixes x^(1,0) d_1, which ad(d_1) takes to d_1, which ad(d_2)
-    # kills: the partials do not commute, and D_2^3(F) = 0 while ad(d_2) of
-    # the image is not zero, so the shortcut is refused
-    twisted = planted(w2_p3, {("x^(0,0)d_2", "x^(1,0)d_1"): [("x^(1,0)d_1", 1)]})
-    assert not twisted.partials_commute()
-    planted_polys = [SymPolynomial.from_label(alg, "x^(2,0)d_2")
+    # ad(d_2) takes x^(1,2) d_1 to x^(1,1) d_1 + x^(1,0) d_2, which ad(d_1)
+    # takes to x^(0,1) d_1 + d_2, while ad(d_1) then ad(d_2) gives x^(0,1) d_1:
+    # each D_a^3 is still zero, but the partials do not commute, so D_1^3(F)
+    # = 0 while ad(d_1) of the image is not zero
+    twisted = planted(w2_p3, {
+        ("x^(0,0)d_2", "x^(1,2)d_1"): [("x^(1,1)d_1", 1), ("x^(1,0)d_2", 1)]})
+    assert shifted.delta_annihilators() == twisted.delta_annihilators() == set()
+    planted_polys = [SymPolynomial.from_label(alg, first)
                      * SymPolynomial.from_label(alg, "x^(2,2)d_1")
-                     for alg in (shifted, twisted)]
-    for F, front in zip(planted_polys, (True, False)):
-        assert bool(d_gamma(F, (0, 3))) == front
-        assert sum(len(d_gamma(F, (0, k))) for k in range(3)) <= len(d_delta(F))
+                     for alg, first in ((shifted, "x^(2,0)d_2"), (twisted, "x^(2,1)d_1"))]
+    for F, gamma, front in zip(planted_polys, ((0, 3), (3, 0)), (True, False)):
+        assert bool(d_gamma(F, gamma)) == front
     outcomes = set()
     for F in polys + planted_polys:
         image, rep = symalg.checked_d_delta(F)
@@ -557,9 +556,9 @@ def test_checked_d_delta_agrees_with_d_delta_and_is_invariant(hbar_p3, hbar_p5,
         assert image == (want if rep.is_invariant else None)
         outcomes.add((rep.is_invariant, bool(want)))
     assert outcomes == {(True, False), (True, True), (False, True)}
-    for F in planted_polys:
+    for F, axis in zip(planted_polys, (1, 0)):
         g, witness = symalg.checked_d_delta(F)[1].witness
-        assert g == F.algebra.partial_coords[-1][0] and witness
+        assert g == F.algebra.partial_coords[axis][0] and witness
     with pytest.raises(ParameterError, match="mod-p"):
         symalg.checked_d_delta(SymPolynomial.one(hbar_p3, "int"))
 
