@@ -155,27 +155,13 @@ class CartanAlgebra:
         """Basis indices, ascending, of a set that generates the algebra under
         the mod-p bracket.
 
-        Keeps one grade -1 element d, the highest, and replaces each other
-        one by the top of its string under ad(d): the highest j whose row
-        [d, b_j] is a nonzero multiple of the current element, followed until
-        there is none (grades rise along it, so it ends).  Then, while the
-        bracket closure is not the whole algebra, adds the highest basis index
-        outside it: the top elements generate much of the algebra under ad of
-        grade -1, so few are needed (u_{1,0}, u_{0,p-1}, u_{p-1,p-2} for
-        H_2(1,1) at p >= 5).  Computed on first use and cached on the instance.
+        Starts from every grade -1 index and, while the bracket closure is
+        not the whole algebra, adds the highest basis index outside it
+        (u_{0,1}, u_{1,0}, u_{p-1,p-2} for H_2(1,1) at p >= 5).  Computed on
+        first use and cached on the instance.
         """
         if self._generators is None:
-            *others, d = [i for i, g in enumerate(self.grades) if g == -1]
-            up = {}
-            for j in range(self.dim):
-                row = self.row_mod(d, j)
-                if len(row) == 1:
-                    up[row[0][0]] = j
-            gens = [d]
-            for i in others:
-                while i in up:
-                    i = up[i]
-                gens.append(i)
+            gens = [i for i, g in enumerate(self.grades) if g == -1]
             while True:
                 span = self._bracket_closure(gens)
                 if span.rank == self.dim:

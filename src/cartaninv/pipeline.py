@@ -230,9 +230,7 @@ class IndependenceReport:
 
 
 def _candidate_exponents(degrees, target):
-    """All exponent tuples e with sum e_j * degrees[j] = target."""
-    if any(d <= 0 for d in degrees):
-        raise ParameterError("records must have positive homogeneous degree")
+    """All exponent tuples e with sum e_j * degrees[j] = target, degrees > 0."""
     out = []
 
     def rec(j, left, acc):
@@ -271,13 +269,16 @@ def independence_report(records, budget: Budget = UNLIMITED) -> IndependenceRepo
     if not records:
         return IndependenceReport((), True, 0)
     alg = records[0].invariant.algebra
+    degrees = []
     for r in records:
         if r.invariant.algebra != alg:
             raise ParameterError("records live over different algebras")
         if r.lambda_value is None:
             raise ParameterError(f"{r.label} is not lambda-homogeneous")
+        degrees.append(r.invariant.homogeneous_degree())
+        if not degrees[-1]:
+            raise ParameterError(f"{r.label} is not homogeneous of positive degree")
     p = alg.params.p
-    degrees = [r.invariant.homogeneous_degree() for r in records]
     order = sorted(range(len(records)), key=degrees.__getitem__)
     records = [records[i] for i in order]
     degrees = [degrees[i] for i in order]

