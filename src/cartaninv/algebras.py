@@ -78,17 +78,22 @@ def _floor(vec):
     return tuple(map(min, zip(*(alpha for _, alpha in vec))))
 
 
-def _room(delta, floor):
-    """The bound delta + 1 - floor: an element whose floor is not <= it
-    brackets to 0 with an element whose floor is ``floor``.
+def _pairs(floors, delta, budget):
+    """Yield (i, j, alive) for the pairs i < j of elements with these floors,
+    in row order; ``budget.checkpoint()`` runs once per row i, before its pairs.
 
-    For such a pair some t has a_t + b_t > delta_t + 1 for every term x^(a) d_i
-    of one and x^(b) d_k of the other, so each product x^(a) x^(b - e_i) and
-    x^(b) x^(a - e_k) has t-th index past delta_t and vanishes.  The closed
-    forms read the bound off basis alphas: x^(a) d_i has the floor a, and each
-    Hamiltonian pair term g = a + b - e_s - e_t has g_t >= a_t + b_t - 1.
+    A pair that is not alive brackets to 0: some t has a_t + b_t > delta_t + 1
+    for every term x^(a) d_i of one and x^(b) d_k of the other, so each product
+    x^(a) x^(b - e_i) and x^(b) x^(a - e_k) has t-th index past delta_t and
+    vanishes.  The closed forms pass basis alphas as floors: x^(a) d_i has the
+    floor a, and each Hamiltonian pair term g = a + b - e_s - e_t has
+    g_t >= a_t + b_t - 1.
     """
-    return tuple(d + 1 - x for d, x in zip(delta, floor))
+    for i, floor in enumerate(floors):
+        budget.checkpoint()
+        room = tuple(d + 1 - x for d, x in zip(delta, floor))
+        for j in range(i + 1, len(floors)):
+            yield i, j, all(map(le, floors[j], room))
 
 
 def _combine(row, vecs, p):
@@ -269,7 +274,7 @@ class CartanAlgebra:
         """Check the closed-form rows against honest derivation brackets;
         ``budget.checkpoint()`` runs once per row i, before its pairs (i, j).
 
-        A pair the truncation kills (see ``_room``) has the bracket 0, so
+        A pair the truncation kills (see ``_pairs``) has the bracket 0, so
         ``bracket`` is not called and only a row stored for it is read.  A
         bracket must equal its row expanded in derivation coordinates, which
         fixes the row mod p as the basis is independent; only a mismatch is
@@ -279,36 +284,33 @@ class CartanAlgebra:
         vecs = [b.vector for b in self.basis]
         floors = [_floor(v) for v in vecs]
         delta = delta_of(self.params)
-        for i in range(self.dim):
-            budget.checkpoint()
-            room = _room(delta, floors[i])
-            for j in range(i + 1, self.dim):
-                if all(map(le, floors[j], room)):
-                    got = bracket(vecs[i], vecs[j], self.params)
-                elif (i, j) in self.rows_int:
-                    got = {}
-                else:
-                    continue
-                stored = self.row_mod(i, j)
-                if got != _combine(stored, vecs, p):
-                    coords = solver.solve(got)
-                    if coords is None:
-                        raise ClosureError(
-                            f"[{self.basis[i].label}, {self.basis[j].label}] "
-                            f"left the {self.kind} span"
-                        )
+        for i, j, alive in _pairs(floors, delta, budget):
+            if alive:
+                got = bracket(vecs[i], vecs[j], self.params)
+            elif (i, j) in self.rows_int:
+                got = {}
+            else:
+                continue
+            stored = self.row_mod(i, j)
+            if got != _combine(stored, vecs, p):
+                coords = solver.solve(got)
+                if coords is None:
                     raise ClosureError(
-                        f"structure constants disagree with the bracket of "
-                        f"{self.basis[i].label}, {self.basis[j].label}: "
-                        f"{dict(stored)} vs {coords}"
+                        f"[{self.basis[i].label}, {self.basis[j].label}] "
+                        f"left the {self.kind} span"
                     )
-                gi, gj = self.grades[i], self.grades[j]
-                for k, _ in stored:
-                    if self.grades[k] != gi + gj:
-                        raise ClosureError(
-                            f"grading violated at [{self.basis[i].label}, "
-                            f"{self.basis[j].label}]"
-                        )
+                raise ClosureError(
+                    f"structure constants disagree with the bracket of "
+                    f"{self.basis[i].label}, {self.basis[j].label}: "
+                    f"{dict(stored)} vs {coords}"
+                )
+            gi, gj = self.grades[i], self.grades[j]
+            for k, _ in stored:
+                if self.grades[k] != gi + gj:
+                    raise ClosureError(
+                        f"grading violated at [{self.basis[i].label}, "
+                        f"{self.basis[j].label}]"
+                    )
 
 
 def decompose(vec, algebra: CartanAlgebra):
@@ -344,27 +346,24 @@ def build_w(params: FieldParams, verify: bool = True,
     pos = {k: i for i, k in enumerate(keys)}
     eps = [tuple(1 if t == ax else 0 for t in range(params.n)) for ax in range(params.n)]
     rows = {}
-    for i, (a, ai) in enumerate(keys):
-        budget.checkpoint()
-        room = _room(delta, a)
-        for j in range(i + 1, len(keys)):
-            b, aj = keys[j]
-            if not all(map(le, b, room)):
-                continue
-            out = {}
-            bs = mi_sub(b, eps[ai])
-            if bs is not None:
-                g = mi_add(a, bs, delta)
-                if g is not None:
-                    out[(g, aj)] = out.get((g, aj), 0) + multi_binom_int(g, a)
-            asub = mi_sub(a, eps[aj])
-            if asub is not None:
-                g = mi_add(asub, b, delta)
-                if g is not None:
-                    out[(g, ai)] = out.get((g, ai), 0) - multi_binom_int(g, b)
-            row = tuple((pos[k], c) for k, c in out.items() if c)
-            if row:
-                rows[(i, j)] = row
+    for i, j, alive in _pairs([a for a, _ in keys], delta, budget):
+        if not alive:
+            continue
+        (a, ai), (b, aj) = keys[i], keys[j]
+        out = {}
+        bs = mi_sub(b, eps[ai])
+        if bs is not None:
+            g = mi_add(a, bs, delta)
+            if g is not None:
+                out[(g, aj)] = out.get((g, aj), 0) + multi_binom_int(g, a)
+        asub = mi_sub(a, eps[aj])
+        if asub is not None:
+            g = mi_add(asub, b, delta)
+            if g is not None:
+                out[(g, ai)] = out.get((g, ai), 0) - multi_binom_int(g, b)
+        row = tuple((pos[k], c) for k, c in out.items() if c)
+        if row:
+            rows[(i, j)] = row
     return CartanAlgebra("W", params, basis, rows, verify=verify, budget=budget)
 
 
@@ -431,21 +430,17 @@ def _build_hamiltonian(params, scaled, budget=UNLIMITED):
     pos = {a: i for i, a in enumerate(alphas)}
     pairs = [(s, s + 1) for s in range(0, params.n, 2)]
     rows = {}
-    for i, a in enumerate(alphas):
-        budget.checkpoint()
-        room = _room(delta, a)  # every pair term's g is at least a + b - 1
-        for j in range(i + 1, len(alphas)):
-            b = alphas[j]
-            if not all(map(le, b, room)):
-                continue
-            out = {}
-            for s, t in pairs:
-                g, c = _ham_pair_coeff(a, b, s, t, delta, scaled)
-                if c:
-                    out[g] = out.get(g, 0) + c
-            row = tuple((pos[g], c) for g, c in out.items() if c)
-            if row:
-                rows[(i, j)] = row
+    for i, j, alive in _pairs(alphas, delta, budget):
+        if not alive:
+            continue
+        out = {}
+        for s, t in pairs:
+            g, c = _ham_pair_coeff(alphas[i], alphas[j], s, t, delta, scaled)
+            if c:
+                out[g] = out.get(g, 0) + c
+        row = tuple((pos[g], c) for g, c in out.items() if c)
+        if row:
+            rows[(i, j)] = row
     return basis, rows
 
 
@@ -544,18 +539,15 @@ def build_s(params: FieldParams, verify: bool = True,
     for vec in vecs:
         basis_solver.insert(vec)
     rows = {}
-    for i in range(len(basis)):
-        budget.checkpoint()
-        room = _room(delta, floors[i])
-        for j in range(i + 1, len(basis)):
-            if not all(map(le, floors[j], room)):
-                continue
-            sol = basis_solver.solve(bracket(vecs[i], vecs[j], params))
-            if sol is None:
-                raise ClosureError("S bracket left the computed span")
-            row = tuple(sorted((k, c) for k, c in sol.items() if c))
-            if row:
-                rows[(i, j)] = row
+    for i, j, alive in _pairs(floors, delta, budget):
+        if not alive:
+            continue
+        sol = basis_solver.solve(bracket(vecs[i], vecs[j], params))
+        if sol is None:
+            raise ClosureError("S bracket left the computed span")
+        row = tuple(sorted((k, c) for k, c in sol.items() if c))
+        if row:
+            rows[(i, j)] = row
     return CartanAlgebra("S", params, basis, rows, verify=verify, budget=budget)
 
 

@@ -41,12 +41,17 @@ class FieldParams:
     m: tuple
 
     def __post_init__(self):
+        if not isinstance(self.m, tuple):
+            object.__setattr__(self, "m", tuple(self.m))
+        # a float or bool equal to an int would share its hash, and so the
+        # entries of the lru_caches keyed on FieldParams
+        if any(type(x) is not int for x in (self.p, self.n, *self.m)):
+            raise ParameterError(
+                f"p, n and every m_i must be ints, got {self.p!r}, {self.n!r}, {self.m!r}")
         if not is_prime(self.p):
             raise ParameterError(f"p must be prime, got {self.p}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
-        if not isinstance(self.m, tuple):
-            object.__setattr__(self, "m", tuple(self.m))
         if len(self.m) != self.n:
             raise ParameterError(f"m must have length n={self.n}, got {self.m}")
         if any(mi < 1 for mi in self.m):

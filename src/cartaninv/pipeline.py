@@ -290,8 +290,6 @@ def independence_report(records, budget: Budget = UNLIMITED) -> IndependenceRepo
         traces = []
         matching = []
         for exps in _candidate_exponents(degrees[:k], deg):
-            if not any(exps):
-                continue
             lam = sum(e * r.lambda_value for e, r in zip(exps, earlier))
             match = lam == rec.lambda_value
             traces.append(
@@ -362,20 +360,16 @@ def conjecture_sweep(p: int, budget: Budget = UNLIMITED) -> SweepReport:
     results = []
     completed = True
     note = ""
-    powers = range(2, 2 * (p - 2) + 1, 2)
+    stage = "in the algebra build"
     try:
         algebra = build_hbar(FieldParams(p, 2, (1, 1)), budget=budget)
-    except BudgetExceededError as exc:
-        completed, powers = False, ()
-        note = f"budget exhausted in the algebra build: {exc}"
-    for power in powers:
-        try:
+        for power in range(2, 2 * (p - 2) + 1, 2):
+            stage = f"at power {power}"
             budget.checkpoint()
             results.append(delta_star(power, algebra, budget))
-        except BudgetExceededError as exc:
-            completed = False
-            note = f"budget exhausted at power {power}: {exc}"
-            break
+    except BudgetExceededError as exc:
+        completed = False
+        note = f"budget exhausted {stage}: {exc}"
     records = tuple(r.record for r in results if r.status == "ok")
     independence = None
     if records:

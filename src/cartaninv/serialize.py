@@ -156,6 +156,7 @@ def document_to_poly(doc, algebra: CartanAlgebra) -> SymPolynomial:
     entries = doc.get("terms")
     if not isinstance(entries, list):
         raise SerializationError("the term list is missing or not a list")
+    p = algebra.params.p
     terms = {}
     for entry in entries:
         if not isinstance(entry, dict):
@@ -177,7 +178,8 @@ def document_to_poly(doc, algebra: CartanAlgebra) -> SymPolynomial:
         if len({v for v, _ in mono}) != len(mono):
             raise SerializationError("duplicate factor in a monomial")
         c = entry.get("coefficient")
-        if not _is_int(c) or c == 0:
+        # a mod-p coefficient is a residue: SymPolynomial would reduce any other
+        if not _is_int(c) or c == 0 or (ring == "modp" and not 0 < c < p):
             raise SerializationError(f"bad coefficient {c!r}")
         key = tuple(mono)
         if key in terms:

@@ -111,3 +111,14 @@ def test_generators_grow_only_through_the_closure():
             if isinstance(node, ast.ClassDef) and node.name == "CartanAlgebra")
     assert "lie_generators" not in _functions_using(alg, {"row_mod", "row_int"})
     assert "lie_generators" in _functions_using(alg, {"_bracket_closure"})
+
+
+def test_one_truncated_pair_walk():
+    # the truncation skip and the row checkpoint are written once, in _pairs:
+    # the three table builders and the closure check walk their pairs with
+    # it, and only _h_from_hbar, which skips nothing, walks rows of its own
+    tree = ast.parse((ROOT / "src" / "cartaninv" / "algebras.py").read_text())
+    assert _functions_using(tree, {"_pairs"}) == {
+        "build_w", "_build_hamiltonian", "build_s", "CartanAlgebra"}
+    assert _functions_using(tree, {"checkpoint"}) == {"_pairs", "_h_from_hbar"}
+    assert "_room" not in ast.dump(tree)

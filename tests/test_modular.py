@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cartaninv.algebras import build_hbar
 from cartaninv.errors import ParameterError
 from cartaninv.modular import (
     FieldParams,
@@ -99,6 +100,17 @@ def test_field_params_validation():
         FieldParams(3, 2, (1,))
     with pytest.raises(ParameterError):
         FieldParams(3, 2, (1, 0))
+
+
+@pytest.mark.parametrize("p, n, m", [(7, 2, (1.0, 1)), (3, 2.0, (1, 1)),
+                                     (7.0, 2, (1, 1)), (3, True, (1,)),
+                                     (3, 2, (1, True))])
+def test_field_params_refuse_non_int_entries(p, n, m):
+    # 1.0 == 1 with the same hash: accepted, it would share the honest key of
+    # the parameter caches and leave a float delta there for every later build
+    with pytest.raises(ParameterError):
+        FieldParams(p, n, m)
+    assert build_hbar(FieldParams(7, 2, (1, 1))).dim == 48
 
 
 def test_p_valuation():

@@ -222,6 +222,24 @@ def test_independence_toy_dependence(record_p3):
     assert not report.all_independent
 
 
+def test_independence_rank_test_finds_a_record_outside_the_span(results_p5):
+    # Delta_2^2 with one coefficient changed: the same degree and lambda as
+    # the candidate Delta_2^2, so only the rank test can separate them
+    delta_2 = results_p5[2].record
+    terms = dict((delta_2.invariant * delta_2.invariant).terms)
+    mono = next(iter(terms))
+    terms[mono] = terms[mono] % 4 + 1  # another nonzero residue mod 5
+    invariant = SymPolynomial(delta_2.invariant.algebra, "modp", terms)
+    perturbed = InvariantRecord("perturbed", 4, invariant, delta_2.generator,
+                                2 * delta_2.lambda_value, len(terms), 0)
+    report = independence_report([delta_2, perturbed])
+    entry = report.entries[1]
+    assert [c.expression for c in entry.candidates] == ["Delta_2^2"]
+    assert entry.candidates[0].lambda_match
+    assert entry.decision == "not-in-span" and entry.dependency is None
+    assert report.all_independent and report.independent_count == 2
+
+
 def test_independence_rejects_mixed_lambda(hbar_p3, record_p3):
     u = SymPolynomial.from_label(hbar_p3, "u_{2,2}")
     v = SymPolynomial.from_label(hbar_p3, "u_{1,1}")

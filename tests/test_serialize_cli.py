@@ -361,6 +361,19 @@ def _drop(path):
     return mangle
 
 
+def _shift(path, by):
+    """A mangle that adds ``by`` to the int at the key ``path`` in a document."""
+
+    def mangle(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] += by
+        return doc
+
+    return mangle
+
+
 MALFORMED_TERMS = [
     pytest.param(_set(("invariant", "terms", 0), [1]), id="term_not_object"),
     pytest.param(_set(("invariant", "terms", 0, "monomial"), 5),
@@ -370,6 +383,11 @@ MALFORMED_TERMS = [
     pytest.param(_set(("invariant", "terms"), 5), id="terms_not_list"),
     pytest.param(_drop(("invariant", "terms")), id="terms_missing"),
     pytest.param(_drop(("invariant", "terms", 0, "monomial")), id="monomial_missing"),
+    # the same residues, but not written as residues 1..p-1 (p = 3)
+    pytest.param(_shift(("invariant", "terms", 0, "coefficient"), 3),
+                 id="coefficient_plus_p"),
+    pytest.param(_shift(("generator", "terms", 0, "coefficient"), -3),
+                 id="generator_coefficient_minus_p"),
 ]
 
 # JSON true parses to a bool, which Python also counts as the int 1
@@ -406,14 +424,16 @@ def test_document_to_record_malformed(hbar_p3, record_p3):
 
 
 def test_cli_generator_check_malformed_poly_exits_2(tmp_path, capsys, record_p3):
-    # a term that is not an object, and no term list at all, which is not
-    # the zero polynomial
+    # a term that is not an object, no term list at all, which is not the
+    # zero polynomial, and mod-p coefficients that are not residues 1..p-1
     bad_term = serialize.poly_to_document(record_p3.generator)
     bad_term["terms"][0] = [1]
     no_terms = serialize.poly_to_document(record_p3.generator)
     del no_terms["terms"]
+    shifted = [_shift(("terms", 0, "coefficient"), by)(
+        serialize.poly_to_document(record_p3.generator)) for by in (3, -3)]
     path = tmp_path / "poly.json"
-    for doc in (bad_term, no_terms):
+    for doc in (bad_term, no_terms, *shifted):
         path.write_text(json.dumps(doc))
         assert main(["generator-check", "--p", "3", "--poly", str(path)]) == EX_USAGE
         assert "error:" in capsys.readouterr().err
@@ -529,6 +549,28 @@ def test_cli_conjecture_p3(capsys):
     out = capsys.readouterr().out
     assert rc == EX_OK
     assert "independent invariants: 1" in out and "match: yes" in out
+
+
+def test_cli_invariant_compute_reports_a_candidate_that_is_not_invariant(capsys):
+    assert main(["invariant-compute", "--p", "7", "--power", "10"]) == EX_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "Delta_10_star: candidate is not invariant; ad(u_{0,2}) != 0 "
+        "(ad(u_{0,2}) does not vanish (phi removed p^1))\n")
+
+
+def test_cli_conjecture_stores_the_verified_records(tmp_path, capsys, sweep_p7):
+    # the refuted power is reported, and only the four records are stored
+    assert main(["conjecture", "--p", "7", "--store", str(tmp_path)]) == EX_OK
+    assert ("power 10: Delta_10_star not-invariant (ad(u_{0,2}) does not vanish "
+            "(phi removed p^1))\n") in capsys.readouterr().out
+    stored = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert stored == {
+        f"invariant_p7_n2_m1-1_{rec.label}.json": serialize.record_text(rec).encode()
+        for rec in sweep_p7.records}
+    assert [rec.label for rec in sweep_p7.records] == [
+        "Delta_2", "Delta_4_star", "Delta_6_star", "Delta_8_star"]
 
 
 def test_cli_conjecture_needs_an_odd_prime(capsys):
