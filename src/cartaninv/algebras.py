@@ -271,14 +271,20 @@ class CartanAlgebra:
 
     # -- construction-time verification ---------------------------------------
     def _verify_closure(self, budget: Budget = UNLIMITED):
-        """Check the closed-form rows against honest derivation brackets;
-        ``budget.checkpoint()`` runs once per row i, before its pairs (i, j).
+        """Check each grade against its derivation (x^(alpha) d_axis has grade
+        |alpha| - 1), then the closed-form rows against honest derivation
+        brackets; ``budget.checkpoint()`` runs once per row i, before its pairs.
 
-        A pair the truncation kills (see ``_pairs``) has the bracket 0, so
-        ``bracket`` is not called and only a row stored for it is read.  A
-        bracket must equal its row expanded in derivation coordinates, which
-        fixes the row mod p as the basis is independent; only a mismatch is
-        solved on the basis, to name the failure."""
+        The rows need no grade scan: the basis is independent and homogeneous,
+        so a row equal to its bracket is graded.  A pair the truncation kills
+        (see ``_pairs``) has the bracket 0, so ``bracket`` is not called and
+        only a row stored for it is read.  A bracket must equal its row
+        expanded in derivation coordinates, which fixes the row mod p as the
+        basis is independent; only a mismatch is solved on the basis, to name
+        the failure."""
+        for b in self.basis:
+            if any(sum(alpha) - 1 != b.grade for _, alpha in b.vector):
+                raise ClosureError(f"grade of {b.label} does not match its derivation")
         p = self.params.p
         solver = self._get_solver()
         vecs = [b.vector for b in self.basis]
@@ -304,13 +310,6 @@ class CartanAlgebra:
                     f"{self.basis[i].label}, {self.basis[j].label}: "
                     f"{dict(stored)} vs {coords}"
                 )
-            gi, gj = self.grades[i], self.grades[j]
-            for k, _ in stored:
-                if self.grades[k] != gi + gj:
-                    raise ClosureError(
-                        f"grading violated at [{self.basis[i].label}, "
-                        f"{self.basis[j].label}]"
-                    )
 
 
 def decompose(vec, algebra: CartanAlgebra):
@@ -444,10 +443,10 @@ def _build_hamiltonian(params, scaled, budget=UNLIMITED):
     return basis, rows
 
 
-def _h_from_hbar(params, basis, rows, verify, budget=UNLIMITED):
-    """H from Hbar's tables: the top element and its row entries dropped.
-
-    H is a subalgebra, so every dropped entry of an H bracket is 0 mod p.
+def _h_from_hbar(params, basis, rows, budget=UNLIMITED):
+    """H from Hbar's tables, unverified: the top element and its row entries
+    dropped.  H is a subalgebra, so every dropped entry of an H bracket is 0
+    mod p, and Hbar's closure check covers every H bracket.
     ``budget.checkpoint()`` runs once per row i, before its pairs (i, j)."""
     p = params.p
     top = len(basis) - 1
@@ -464,16 +463,14 @@ def _h_from_hbar(params, basis, rows, verify, budget=UNLIMITED):
             kept = tuple((k, c) for k, c in row if k != top)
             if kept:
                 h_rows[(i, j)] = kept
-    return CartanAlgebra("H", params, basis[:-1], h_rows, verify=verify,
-                         budget=budget)
+    return CartanAlgebra("H", params, basis[:-1], h_rows, verify=False)
 
 
 def build_h(params: FieldParams, verify: bool = True,
             budget: Budget = UNLIMITED) -> CartanAlgebra:
-    """Hamiltonian algebra: fields of monomials for 0 < a < delta."""
+    """Hamiltonian algebra: fields of monomials for 0 < a < delta; Hbar's."""
     validate_for_kind(params, "H")
-    return _h_from_hbar(params, *_build_hamiltonian(params, _scaled(params), budget),
-                        verify=verify, budget=budget)
+    return build_hbar(params, verify, budget).h_subalgebra
 
 
 def build_hbar(params: FieldParams, verify: bool = True,
@@ -481,8 +478,7 @@ def build_hbar(params: FieldParams, verify: bool = True,
     """Extension of H by the top field u (the field of the monomial at delta)."""
     validate_for_kind(params, "Hbar")
     basis, rows = _build_hamiltonian(params, _scaled(params), budget)
-    # Hbar's closure check covers every H bracket, so H is not checked again
-    sub = _h_from_hbar(params, basis, rows, verify=False, budget=budget)
+    sub = _h_from_hbar(params, basis, rows, budget)
     return CartanAlgebra("Hbar", params, basis, rows, h_subalgebra=sub,
                          verify=verify, budget=budget)
 
@@ -515,37 +511,25 @@ def build_s(params: FieldParams, verify: bool = True,
         return CartanAlgebra("S", params, basis, rows, verify=verify,
                              budget=budget)
     # n >= 3: no closed integral form is used; decompose the honest bracket
-    # over F_p and store least non-negative residues
-    p = params.p
-    solver = SpanSolver(p)
-    chosen = []
+    # over F_p and store least non-negative residues; only the chosen fields
+    # are inserted, so the solver keys each bracket by basis index
+    solver = SpanSolver(params.p)
+    basis = []
     for alpha in dp_basis(params):
-        if not any(alpha):
-            continue
-        for i in range(params.n):
-            for j in range(i + 1, params.n):
-                d = _s_field(params, alpha, i, j)
-                if not d:
-                    continue
-                if solver.insert(d):
-                    chosen.append((alpha, i, j, d))
-    basis = [
-        BasisElement(_s_label(a, i, j), d, sum(a) - 2) for a, i, j, d in chosen
-    ]
+        for i, j in combinations(range(params.n), 2):
+            d = _s_field(params, alpha, i, j)
+            if d and solver.solve(d) is None:
+                solver.insert(d)
+                basis.append(BasisElement(_s_label(alpha, i, j), d, sum(alpha) - 2))
     vecs = [b.vector for b in basis]
-    floors = [_floor(v) for v in vecs]
-    delta = delta_of(params)
-    basis_solver = SpanSolver(p)
-    for vec in vecs:
-        basis_solver.insert(vec)
     rows = {}
-    for i, j, alive in _pairs(floors, delta, budget):
+    for i, j, alive in _pairs([_floor(v) for v in vecs], delta_of(params), budget):
         if not alive:
             continue
-        sol = basis_solver.solve(bracket(vecs[i], vecs[j], params))
+        sol = solver.solve(bracket(vecs[i], vecs[j], params))
         if sol is None:
             raise ClosureError("S bracket left the computed span")
-        row = tuple(sorted((k, c) for k, c in sol.items() if c))
+        row = tuple(sol.items())
         if row:
             rows[(i, j)] = row
     return CartanAlgebra("S", params, basis, rows, verify=verify, budget=budget)

@@ -42,7 +42,11 @@ class FieldParams:
 
     def __post_init__(self):
         if not isinstance(self.m, tuple):
-            object.__setattr__(self, "m", tuple(self.m))
+            try:
+                object.__setattr__(self, "m", tuple(self.m))
+            except TypeError:
+                raise ParameterError(
+                    f"m must be a sequence of ints, got {self.m!r}") from None
         # a float or bool equal to an int would share its hash, and so the
         # entries of the lru_caches keyed on FieldParams
         if any(type(x) is not int for x in (self.p, self.n, *self.m)):

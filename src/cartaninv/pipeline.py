@@ -35,13 +35,14 @@ def compute_delta(power: int, algebra: CartanAlgebra,
 
 
 def restrict_u_zero(F: SymPolynomial) -> SymPolynomial:
-    """Drop every monomial containing u; reinterpret over the H subalgebra."""
+    """Drop every monomial containing u, the last basis element; the rest
+    lives over the H subalgebra, whose basis is Hbar's without u."""
     alg = F.algebra
     if alg.kind != "Hbar":
         raise ParameterError("restriction at u = 0 needs an Hbar-type algebra")
     u_idx = alg.dim - 1
     kept = {m: c for m, c in F.terms.items() if all(v != u_idx for v, _ in m)}
-    return SymPolynomial(F.algebra, F.ring, kept).with_algebra(alg.h_subalgebra)
+    return SymPolynomial(alg.h_subalgebra, F.ring, kept)
 
 
 def phi_normalize(F: SymPolynomial):

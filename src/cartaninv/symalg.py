@@ -414,6 +414,10 @@ def d_gamma(F: SymPolynomial, gamma, budget: Budget = UNLIMITED) -> SymPolynomia
     The passes chain on packed keys, and only the last image is unpacked;
     ``budget.charge`` sees the term count after every pass.
     """
+    n = F.algebra.params.n
+    if (not isinstance(gamma, (tuple, list)) or len(gamma) != n
+            or any(type(g) is not int or g < 0 for g in gamma)):
+        raise ParameterError(f"gamma must be {n} non-negative ints, got {gamma!r}")
     if not any(gamma):
         return F
     width = _width(F)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -315,6 +316,27 @@ def test_closure_verification_catches_corruption(w1_p3):
                 CartanAlgebra(kind, alg.params, basis, rows)
 
 
+@pytest.mark.parametrize("kind, p, n, label", [
+    ("W", 3, 1, "x^(1)d_1"), ("Hbar", 5, 2, "u_{4,4}"), ("H", 5, 2, "u_{0,3}"),
+    ("S", 3, 3, "D_{1,2}(0,1,2)")])
+def test_closure_check_names_a_planted_grade(monkeypatch, kind, p, n, label):
+    # the grade of one basis element is raised as the algebra is built; the
+    # check compares each grade with its derivation and names that element,
+    # where a scan of the rows would blame a pair (H is checked as Hbar's
+    # subalgebra, so Hbar's check names it)
+    honest = CartanAlgebra.__init__
+
+    def raised(self, kind, params, basis, rows_int, *args, **kwargs):
+        basis = [b._replace(grade=b.grade + 1) if b.label == label else b
+                 for b in basis]
+        honest(self, kind, params, basis, rows_int, *args, **kwargs)
+
+    monkeypatch.setattr(CartanAlgebra, "__init__", raised)
+    message = f"grade of {label} does not match its derivation"
+    with pytest.raises(ClosureError, match=re.escape(message)):
+        algebras.build(kind, FieldParams(p, n, (1,) * n))
+
+
 # S_3(1,1,1) stops at p = 5: at p = 7 its table alone is 233,586 solved brackets
 @pytest.mark.parametrize("kind, p, m", [
     (kind, p, m) for kind, m in [("W", (2,)), ("W", (1, 1)), ("S", (1, 1)),
@@ -360,8 +382,8 @@ def test_build_hbar_checks_closure_once(monkeypatch, params3):
     monkeypatch.setattr(CartanAlgebra, "_verify_closure", counted)
     build_hbar(params3)
     assert checked == ["Hbar"]
-    build_h(params3)  # on its own, H keeps the full check
-    assert checked == ["Hbar", "H"]
+    build_h(params3)  # H is Hbar's subalgebra, covered by Hbar's check
+    assert checked == ["Hbar", "Hbar"]
 
 
 @pytest.mark.parametrize("kind, p, n, rows", [("W", 3, 2, 1), ("S", 5, 2, 1),
@@ -370,12 +392,13 @@ def test_build_hbar_checks_closure_once(monkeypatch, params3):
 def test_build_checkpoints_once_per_row(kind, p, n, rows):
     # one checkpoint per row i of the closed-form table, of the closure check
     # and, for S at n >= 3, of build_s's own bracket table, never one per
-    # pair (i, j); ``rows`` counts the passes over the algebra's own basis
+    # pair (i, j); ``rows`` counts the passes over the algebra's own basis,
+    # and H's closure check walks Hbar's rows, one more than H's
     params = FieldParams(p, n, (1,) * n)
     table = _table_rows(kind, params)
     clock = TripClock()
     alg = algebras.build(kind, params, budget=clock)
-    assert clock.checkpoints == table + rows * alg.dim
+    assert clock.checkpoints == table + rows * alg.dim + (kind == "H")
     for trip in (1, clock.checkpoints):
         with pytest.raises(BudgetExceededError) as exc:
             algebras.build(kind, params, budget=TripClock(trip))
@@ -428,7 +451,7 @@ def test_budget_trips_inside_the_structure_table(kind, n, table):
                                      (3, 2, (2, 1)), (3, 4, (1, 1, 1, 1))])
 def test_h_is_hbar_without_its_top_element(p, n, m):
     params = FieldParams(p, n, m)
-    h = build_h(params)  # with H's own closure check
+    h = build_h(params)  # under Hbar's closure check
     sub = build_hbar(params, verify=False).h_subalgebra
     assert h == sub
     assert h.rows_int == sub.rows_int

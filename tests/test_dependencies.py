@@ -122,3 +122,40 @@ def test_one_truncated_pair_walk():
         "build_w", "_build_hamiltonian", "build_s", "CartanAlgebra"}
     assert _functions_using(tree, {"checkpoint"}) == {"_pairs", "_h_from_hbar"}
     assert "_room" not in ast.dump(tree)
+
+
+def _function(tree, name):
+    node, = (node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == name)
+    return node
+
+
+def test_each_table_fact_is_established_once():
+    # H is built only as Hbar's subalgebra, unverified, and Hbar's check
+    # covers its brackets
+    tree = ast.parse((ROOT / "src" / "cartaninv" / "algebras.py").read_text())
+    assert _functions_using(tree, {"_h_from_hbar"}) == {"build_hbar"}
+    assert "verify" not in [arg.arg for arg in _function(tree, "_h_from_hbar").args.args]
+    assert "build_h" in _functions_using(tree, {"build_hbar"})
+    # S_n at n >= 3 chooses its basis and decomposes its brackets on one solver
+    solvers = [node for node in ast.walk(_function(tree, "build_s"))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "SpanSolver"]
+    assert len(solvers) == 1
+    # the restriction at u = 0 builds its polynomial over H directly
+    tree = ast.parse((ROOT / "src" / "cartaninv" / "pipeline.py").read_text())
+    assert "restrict_u_zero" not in _functions_using(tree, {"with_algebra"})
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    spec = project["requires-python"]
+    floor = tuple(int(x) for x in spec.removeprefix(">=").split("."))
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+    # the parse is gated: syntax newer than the floor is refused
+    if floor < (3, 11):
+        with pytest.raises(SyntaxError):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                      feature_version=floor)

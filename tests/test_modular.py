@@ -113,6 +113,13 @@ def test_field_params_refuse_non_int_entries(p, n, m):
     assert build_hbar(FieldParams(7, 2, (1, 1))).dim == 48
 
 
+def test_field_params_convert_m_to_a_tuple():
+    # any iterable of heights is taken as a tuple; a bare int is refused
+    with pytest.raises(ParameterError):
+        FieldParams(3, 1, 1)
+    assert FieldParams(3, 2, [1, 1]).m == (1, 1)
+
+
 def test_p_valuation():
     assert p_valuation(45, 3) == 2
     assert p_valuation(7, 3) == 0

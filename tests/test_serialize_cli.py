@@ -298,6 +298,20 @@ def test_cli_verify_rejects_tampered_record(tmp_path, capsys, results_p5, key, v
     assert "invariant: no" in capsys.readouterr().out
 
 
+def test_cli_verify_rejects_a_power_that_derives_no_record(tmp_path, capsys, sweep_p7):
+    # the re-derivation at the stored power refutes the candidate before any
+    # field is compared
+    doc = serialize.record_to_document(sweep_p7.records[0])
+    assert doc["label"] == "Delta_2"
+    doc["power"] = 10
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    assert main(["invariant-verify", str(path)]) == EX_FAIL
+    assert capsys.readouterr().out == (
+        "24 terms, invariant: no (Delta_2: power 10 derives no record "
+        "(not-invariant: ad(u_{0,2}) does not vanish (phi removed p^1)))\n")
+
+
 # one tamper per InvariantRecord field, each leaving a well-formed document
 TAMPERS = {
     "label": lambda rec: "Delta_4",
@@ -374,6 +388,21 @@ def _shift(path, by):
     return mangle
 
 
+def _repeat_factor(doc):
+    monomial = doc["invariant"]["terms"][0]["monomial"]
+    monomial.append(list(monomial[0]))
+    return doc
+
+
+# malformed terms whose error message is pinned as well
+NAMED_FAULTS = {
+    "monomial_entry_without_exponent": (
+        _set(("invariant", "terms", 0, "monomial", 0), ["u_{1,1}"]),
+        "malformed monomial entry ['u_{1,1}']"),
+    "repeated_factor": (_repeat_factor, "duplicate factor in a monomial"),
+    "ring_z": (_set(("invariant", "ring"), "Z"), "unknown ring 'Z'"),
+}
+
 MALFORMED_TERMS = [
     pytest.param(_set(("invariant", "terms", 0), [1]), id="term_not_object"),
     pytest.param(_set(("invariant", "terms", 0, "monomial"), 5),
@@ -388,6 +417,7 @@ MALFORMED_TERMS = [
                  id="coefficient_plus_p"),
     pytest.param(_shift(("generator", "terms", 0, "coefficient"), -3),
                  id="generator_coefficient_minus_p"),
+    *(pytest.param(mangle, id=name) for name, (mangle, _) in NAMED_FAULTS.items()),
 ]
 
 # JSON true parses to a bool, which Python also counts as the int 1
@@ -414,6 +444,25 @@ def test_cli_verify_malformed_record_exits_2(tmp_path, capsys, record_p3, mangle
     path.write_text(json.dumps(doc))
     assert main(["invariant-verify", str(path)]) == EX_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mangle, message", NAMED_FAULTS.values(), ids=NAMED_FAULTS)
+def test_cli_verify_names_the_malformed_term(tmp_path, capsys, record_p3, mangle,
+                                            message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(mangle(serialize.record_to_document(record_p3))))
+    assert main(["invariant-verify", str(path)]) == EX_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["basis", "--m", "1,x"], "expected integers", id="heights"),
+    pytest.param(["independence", "--labels", ","], "expected at least one record label",
+                 id="labels"),
+])
+def test_cli_flag_converters_refuse_malformed_values(capsys, argv, message):
+    assert main(argv) == EX_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_document_to_record_malformed(hbar_p3, record_p3):
@@ -494,6 +543,13 @@ def test_cli_usage_errors(capsys):
     assert main(["invariant-compute", "--p", "4", "--power", "2"]) == EX_USAGE
     assert main(["basis", "--algebra", "H", "--n", "3", "--m", "1,1,1"]) == EX_USAGE
     capsys.readouterr()
+
+
+def test_cli_h_names_its_own_constraint(capsys):
+    # H is built as Hbar's subalgebra, but its parameter errors name H
+    assert main(["basis", "--algebra", "H", "--n", "3", "--m", "1,1,1"]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: H requires even n, got n=3\n"
 
 
 def test_cli_budget_exit(capsys):

@@ -358,6 +358,16 @@ def test_d_delta_examples(hbar_p3, record_p3):
     assert got == record_p3.invariant
 
 
+@pytest.mark.parametrize("gamma", [(-1, 0), (-1, 2), (1,), (0, 1, 0), (1, True),
+                                   (1.0, 0), 2])
+def test_d_gamma_refuses_a_malformed_gamma(hbar_p3, gamma):
+    # gamma is n non-negative ints: a negative entry is no power of ad(d_i),
+    # and a short gamma must not be padded nor a long one read past n
+    u = SymPolynomial.from_label(hbar_p3, "u_{2,2}")
+    with pytest.raises(ParameterError, match="gamma must be 2 non-negative ints"):
+        d_gamma(u * u, gamma)
+
+
 def test_d_delta_order_independent(hbar_p3):
     # apply the same multiset of lowering steps in random order
     rng = random.Random(13)
