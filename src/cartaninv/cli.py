@@ -51,9 +51,12 @@ class _StoredRecordFailed(Exception):
 
 def _load_verified_record(store, hbar, label, budget):
     """The stored record for ``label`` after ``verify(hbar, budget)``, or None
-    if absent."""
+    if absent.  A stored document that holds another label is refused."""
     record = serialize.load_record(store, hbar, label)
     if record is not None:
+        if record.label != label:
+            raise _StoredRecordFailed(
+                f"stored record for {label} holds {record.label}")
         try:
             record.verify(hbar, budget)
         except ValueError as exc:

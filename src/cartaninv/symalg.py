@@ -13,6 +13,7 @@ with all exponents positive.  The empty tuple is the constant monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .algebras import CartanAlgebra, decompose, filtration_basis
@@ -22,8 +23,11 @@ from .modular import delta_of
 RINGS = ("int", "modp")
 
 
+_exponent = itemgetter(1)
+
+
 def mono_degree(mono) -> int:
-    return sum(e for _, e in mono)
+    return sum(map(_exponent, mono))
 
 
 def _mono_mul(a, b):
@@ -110,7 +114,7 @@ class SymPolynomial:
     __hash__ = None
 
     def degrees(self):
-        return {mono_degree(m) for m in self.terms}
+        return set(map(mono_degree, self.terms))
 
     def homogeneous_degree(self):
         """Total degree when homogeneous, else None (0 for the zero element)."""
@@ -258,7 +262,7 @@ def render_text(F: SymPolynomial) -> str:
 # never leaves this layer: every SymPolynomial keeps tuple keys.
 
 def _width(F: SymPolynomial) -> int:
-    top = max((mono_degree(m) for m in F.terms), default=0)
+    top = max(map(mono_degree, F.terms), default=0)
     return top.bit_length() or 1
 
 
@@ -269,10 +273,11 @@ def _units(width: int, dim: int):
 
 
 def _fields(width: int, per_variable):
-    """For each bit length of a packed key: its top field's shift, the entry
-    of ``per_variable`` for that field's variable, and the mask of the fields
-    below it.  Field f from the bottom holds variable dim - 1 - f."""
-    return [None] + [(width * f, per_variable[-1 - f], (1 << (width * f)) - 1)
+    """For each bit length of a packed key: its top field's shift, the items
+    of the tuple ``per_variable`` holds for that field's variable, and the
+    mask of the fields below it.  Field f from the bottom holds variable
+    dim - 1 - f."""
+    return [None] + [(width * f, *per_variable[-1 - f], (1 << (width * f)) - 1)
                      for f in range(len(per_variable)) for _ in range(width)]
 
 
@@ -298,7 +303,7 @@ def _unpacked(F: SymPolynomial, width: int, terms) -> SymPolynomial:
     """The tuple-keyed polynomial over F's algebra and ring of ``terms``, a
     map from packed keys to coefficients.  The (index, exponent) pairs are
     made once here and shared by every monomial unpacked."""
-    fields = _fields(width, [[(v, e) for e in range(1 << width)]
+    fields = _fields(width, [([(v, e) for e in range(1 << width)],)
                              for v in range(F.algebra.dim)])
     return F._bare({_unpack(m, fields): c for m, c in terms.items()})
 
@@ -307,58 +312,71 @@ def _unpacked(F: SymPolynomial, width: int, terms) -> SymPolynomial:
 _STRIDE = 4096
 
 
-def _ad_pass(F: SymPolynomial, element, width: int, packed,
-             budget: Budget = UNLIMITED):
-    """One ad pass over ``packed``, an iterable of (packed key, coefficient)
-    pairs in F's algebra and ring, of the element of L with sparse
-    coordinates ``element``: a re-iterable sequence of (basis index,
-    coefficient) pairs, such as a list or ``dict.items()``, walked once per
-    variable.  Returns the packed image, a map from packed keys to
-    coefficients free of zero terms.
+def _ad_operator(F: SymPolynomial, element, width: int):
+    """The ad operator, on packed keys of ``width`` over F's algebra and
+    ring, of the element of L with sparse coordinates ``element``: a
+    re-iterable sequence of (basis index, coefficient) pairs, such as a list
+    or ``dict.items()``, walked once per variable.  It is a list of layers,
+    one per entry of the longest step row, where variable v's step row
+    holds the move from v to k and its coefficient c * rc for each pair
+    (idx, c) of the element and each entry (k, rc) of the row [idx, v].
 
-    The factors are read off each key top field first, in ascending index,
-    as ``_unpack`` reads them, after masking the key to ``live``: the fields
-    of the variables the element moves.  A dead field is never read, and a
-    key with no live field costs one ``&``.
-
-    Over F_p the sums are kept as residues and a sum that cancels is dropped
-    at once (``pop``: a contribution of 0 mod p may land on an absent key).
-    Every ``_STRIDE`` input terms ``budget`` gets a checkpoint and the image's
-    current size."""
+    Layer r is ``(live, fields)``: ``live`` is the mask of the fields of the
+    variables whose row has an r-th entry, and ``fields`` the ``_fields``
+    table of that entry, (shift, step, coefficient, mask below).  An H or
+    Hbar basis element moves each variable to at most one other, so its
+    operator is one layer."""
     alg = F.algebra
-    modp = F.ring == "modp"
-    rows = alg.row_mod if modp else alg.row_int
-    p = alg.params.p
+    rows = alg.row_mod if F.ring == "modp" else alg.row_int
     unit = _units(width, alg.dim)
     steps = [tuple((unit[k] - unit[v], c * rc) for idx, c in element
                    for k, rc in rows(idx, v))
              for v in range(alg.dim)]
-    live = sum(unit[v] * ((1 << width) - 1) for v, row in enumerate(steps) if row)
-    fields = _fields(width, steps)
+    full = (1 << width) - 1
+    return [(sum(unit[v] * full for v, row in enumerate(steps) if len(row) > r),
+             _fields(width, [row[r] if len(row) > r else (0, 0) for row in steps]))
+            for r in range(max(map(len, steps)))]
+
+
+def _ad_pass(F: SymPolynomial, op, packed, budget: Budget = UNLIMITED):
+    """One pass of the ad operator ``op`` (see ``_ad_operator``) over
+    ``packed``, an iterable of (packed key, coefficient) pairs in F's algebra
+    and ring, walked once per layer, so re-iterable when ``op`` has more
+    than one.  Returns the packed image, a map from packed keys to
+    coefficients free of zero terms.
+
+    In each layer the factors are read off each key top field first, in
+    ascending index, as ``_unpack`` reads them, after masking the key to the
+    layer's ``live`` fields, and each live field makes one update.  A dead
+    field is never read, and a key with no live field costs one ``&``.
+
+    Over F_p the sums are kept as residues and a sum that cancels is dropped
+    at once (``pop``: a contribution of 0 mod p may land on an absent key).
+    Every ``_STRIDE`` input terms of each layer ``budget`` gets a checkpoint
+    and the image's current size."""
+    modp = F.ring == "modp"
+    p = F.algebra.params.p
     out = {}
     get = out.get
     pop = out.pop
-    for n, (key, c) in enumerate(packed):
-        if n and not n % _STRIDE:
-            budget.checkpoint()
-            budget.charge(len(out))
-        rest = key & live
-        while rest:
-            s, row, below = fields[rest.bit_length()]
-            ce = c * (rest >> s)
-            rest &= below
-            if modp:
-                for step, rc in row:
-                    m = key + step
-                    r = (get(m, 0) + ce * rc) % p
-                    if r:
-                        out[m] = r
+    for live, fields in op:
+        for n, (key, c) in enumerate(packed):
+            if n and not n % _STRIDE:
+                budget.checkpoint()
+                budget.charge(len(out))
+            rest = key & live
+            while rest:
+                s, step, rc, below = fields[rest.bit_length()]
+                m = key + step
+                if modp:
+                    x = (get(m, 0) + c * rc * (rest >> s)) % p
+                    if x:
+                        out[m] = x
                     else:
                         pop(m, None)
-            else:
-                for step, rc in row:
-                    m = key + step
-                    out[m] = get(m, 0) + ce * rc
+                else:
+                    out[m] = get(m, 0) + c * rc * (rest >> s)
+                rest &= below
     if modp:
         return out
     return {m: c for m, c in out.items() if c}
@@ -373,7 +391,8 @@ def _ad_images(F: SymPolynomial, budget: Budget = UNLIMITED):
 
     def image(element):
         budget.checkpoint()
-        return _unpacked(F, width, _ad_pass(F, element, width, packed, budget))
+        op = _ad_operator(F, element, width)
+        return _unpacked(F, width, _ad_pass(F, op, packed, budget))
 
     return image
 
@@ -395,12 +414,15 @@ def ad_partial(F: SymPolynomial, axis: int) -> SymPolynomial:
 def _d_gamma_packed(F: SymPolynomial, gamma, width: int, packed, budget: Budget):
     """The passes of d_gamma(F), gamma not zero, chained on packed keys from
     ``packed``, F's (key, coefficient) pairs at ``width``: the packed image.
-    Each pass reads the pairs of the one before; nothing is unpacked.
-    ``budget.charge`` sees the term count after every pass."""
+    Each pass reads the pairs of the one before; nothing is unpacked.  Each
+    axis's operator is built once for all its passes.  ``budget.charge``
+    sees the term count after every pass."""
     for axis, g in enumerate(gamma):
-        element = [F.algebra.partial_coords[axis]]
+        if not g:
+            continue
+        op = _ad_operator(F, [F.algebra.partial_coords[axis]], width)
         for _ in range(g):
-            terms = _ad_pass(F, element, width, packed, budget)
+            terms = _ad_pass(F, op, packed, budget)
             budget.charge(len(terms))
             if not terms:
                 return terms
@@ -454,7 +476,7 @@ def _invariance(F: SymPolynomial, width: int, packed, budget: Budget,
         budget.checkpoint()
         if idx in proven:
             return {}
-        return _ad_pass(F, [(idx, 1)], width, packed, budget)
+        return _ad_pass(F, _ad_operator(F, [(idx, 1)], width), packed, budget)
 
     for g in gens:
         img = image(g)

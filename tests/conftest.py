@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cartaninv import symalg
 from cartaninv.algebras import bracket, build_hbar, build_s, build_w, decompose
 from cartaninv.errors import Budget, BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of, dp_basis, mi_add, multi_binom_int
@@ -74,6 +75,24 @@ def ad_index_oracle(F, idx, sign=1):
         p = alg.params.p
         out = {m: c % p for m, c in out.items() if c % p}
     return SymPolynomial(alg, F.ring, out)
+
+
+class TaggedOperator(list):
+    """An ad operator that carries the element it was built from."""
+
+
+def tag_ad_operators(monkeypatch):
+    """Make every ad operator ``symalg`` builds carry its element, as a list
+    of (basis index, coefficient) pairs, in ``.element``, so that a patched
+    ``_ad_pass`` can tell which element each pass applies."""
+    build = symalg._ad_operator
+
+    def tagged(F, element, width):
+        op = TaggedOperator(build(F, element, width))
+        op.element = list(element)
+        return op
+
+    monkeypatch.setattr(symalg, "_ad_operator", tagged)
 
 
 def vec_sum(p, *terms):

@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import commutation_expansion_check, load_fixture
+from conftest import commutation_expansion_check, load_fixture, tag_ad_operators
 from cartaninv import serialize, symalg
 from cartaninv.algebras import bracket, build, build_hbar, decompose
 from cartaninv.cli import EX_OK, main
@@ -357,13 +357,14 @@ def test_p7_invariance_passes_on_top_down_generators(monkeypatch, sweep_p7,
     calls = []
     ad_pass = symalg._ad_pass
 
-    def counted(F, element, *args):
-        calls.extend(idx for idx, _ in element)
-        return ad_pass(F, element, *args)
+    def counted(F, op, *args):
+        calls.extend(idx for idx, _ in op.element)
+        return ad_pass(F, op, *args)
 
     delta_8 = next(r for r in sweep_p7.records if r.label == "Delta_8_star").invariant
     candidate, witness = delta_10_star_p7
     labels = lambda: [delta_8.algebra.basis[idx].label for idx in calls]
+    tag_ad_operators(monkeypatch)
     monkeypatch.setattr(symalg, "_ad_pass", counted)
     assert is_invariant(delta_8).is_invariant
     # a given polynomial gets both grade -1 passes, then the top generator

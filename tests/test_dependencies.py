@@ -67,8 +67,12 @@ def _functions_using(tree, used):
 def test_one_ad_kernel():
     # every ad of an element of L on S(L) goes through the one packed pass
     tree = ast.parse((ROOT / "src" / "cartaninv" / "symalg.py").read_text())
-    assert _functions_using(tree, {"row_mod", "row_int"}) == {"_ad_pass"}
+    # only the operator builder reads the table's rows, and the three
+    # callers of the one pass each build the operators they apply
+    assert _functions_using(tree, {"row_mod", "row_int"}) == {"_ad_operator"}
     assert _functions_using(tree, {"_ad_pass"}) == {
+        "_ad_images", "_d_gamma_packed", "_invariance"}
+    assert _functions_using(tree, {"_ad_operator"}) == {
         "_ad_images", "_d_gamma_packed", "_invariance"}
     # and each polynomial is packed once per call: by the image helper,
     # d_gamma, is_invariant, or checked_d_delta, whose chain's image is
@@ -82,11 +86,11 @@ def test_one_ad_kernel():
     assert _functions_using(tree, {"_unpacked"}) == {
         "_ad_images", "d_gamma", "checked_d_delta", "_invariance"}
     # one key layout: the units of the variables and the bit-length field
-    # table are each built in one place, and the kernel, the unpacker, the
-    # packer and the canonical sort all read them
-    assert _functions_using(tree, {"_fields"}) == {"_ad_pass", "_unpacked"}
+    # table are each built in one place, and the operator builder, the
+    # unpacker, the packer and the canonical sort all read them
+    assert _functions_using(tree, {"_fields"}) == {"_ad_operator", "_unpacked"}
     assert _functions_using(tree, {"_units"}) == {
-        "_pack_terms", "SymPolynomial", "_ad_pass"}
+        "_pack_terms", "SymPolynomial", "_ad_operator"}
     poly, = (node for node in tree.body
              if isinstance(node, ast.ClassDef) and node.name == "SymPolynomial")
     assert _functions_using(poly, {"_units"}) == {"sorted_terms"}

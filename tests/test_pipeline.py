@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TripClock, load_fixture, random_poly
+from conftest import TripClock, load_fixture, random_poly, tag_ad_operators
 from cartaninv import errors, pipeline, symalg
 from cartaninv.errors import UNLIMITED, BudgetExceededError, ParameterError
 from cartaninv.algebras import build_hbar
@@ -455,11 +455,12 @@ def test_delta_star_makes_no_partial_pass_in_the_check(monkeypatch, hbar_p5, pow
     checked = []
     ad_pass = symalg._ad_pass
 
-    def counted(F, element, *args):
+    def counted(F, op, *args):
         if sys._getframe(1).f_back.f_code.co_name == "_invariance":
-            checked.append(element)
-        return ad_pass(F, element, *args)
+            checked.append(op.element)
+        return ad_pass(F, op, *args)
 
+    tag_ad_operators(monkeypatch)
     monkeypatch.setattr(symalg, "_ad_pass", counted)
     assert delta_star(power, hbar_p5).status == "ok"
     alg = hbar_p5.h_subalgebra
@@ -476,11 +477,12 @@ def test_delta_star_checks_the_partials_on_the_generator(monkeypatch):
     passes = []
     ad_pass = symalg._ad_pass
 
-    def counted(F, element, width, packed, *args):
+    def counted(F, op, packed, *args):
         if F.algebra is hbar.h_subalgebra:
-            passes.append((F.algebra.basis[element[0][0]].label, len(packed)))
-        return ad_pass(F, element, width, packed, *args)
+            passes.append((F.algebra.basis[op.element[0][0]].label, len(packed)))
+        return ad_pass(F, op, packed, *args)
 
+    tag_ad_operators(monkeypatch)
     monkeypatch.setattr(symalg, "_ad_pass", counted)
     for power, image_size in ((8, 35_665), (10, 31_333)):
         passes.clear()
@@ -502,17 +504,18 @@ def test_sweep_checks_each_image_by_one_pass(monkeypatch, p, total):
     passes, checked = [], {}
     ad_pass, run = symalg._ad_pass, pipeline.delta_star
 
-    def counted(F, element, *args):
-        passes.append(element)
+    def counted(F, op, *args):
+        passes.append(op.element)
         if sys._getframe(1).f_back.f_code.co_name == "_invariance":
             # the sweep runs its powers in ascending order
-            checked[max(checked)].append(F.algebra.basis[element[0][0]].label)
-        return ad_pass(F, element, *args)
+            checked[max(checked)].append(F.algebra.basis[op.element[0][0]].label)
+        return ad_pass(F, op, *args)
 
     def per_power(i, *args):
         checked[i] = []
         return run(i, *args)
 
+    tag_ad_operators(monkeypatch)
     monkeypatch.setattr(symalg, "_ad_pass", counted)
     monkeypatch.setattr(pipeline, "delta_star", per_power)
     assert conjecture_sweep(p).completed

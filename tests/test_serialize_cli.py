@@ -767,6 +767,23 @@ def test_cli_store_reads_verify_the_record(tmp_path, capsys, results_p5, argv):
     assert "stored record failed verification: Delta_4_star: stored lambda 15" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["independence", "--labels", "Delta_4_star,Delta_6_star"],
+    ["invariant-compute", "--power", "4"],
+])
+def test_cli_store_refuses_a_record_under_another_label(tmp_path, capsys, results_p5,
+                                                        argv):
+    # Delta_6_star's document copied onto Delta_4_star's file is refused,
+    # not served as Delta_4_star
+    serialize.save_record(tmp_path, results_p5[6].record)
+    path = serialize.record_path(tmp_path, 5, 2, (1, 1), "Delta_4_star")
+    path.write_text(serialize.record_text(results_p5[6].record))
+    assert main(argv + ["--p", "5", "--store", str(tmp_path)]) == EX_FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "stored record for Delta_4_star holds Delta_6_star\n"
+
+
 @pytest.mark.parametrize("argv", [["invariant-verify"],
                                   ["generator-check", "--p", "3", "--poly"]])
 @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])

@@ -12,8 +12,9 @@ from conftest import (
     commutation_expansion_check,
     random_derivation,
     random_poly,
+    tag_ad_operators,
 )
-from cartaninv.algebras import CartanAlgebra, build_hbar, build_w, decompose
+from cartaninv.algebras import CartanAlgebra, build_hbar, build_s, build_w, decompose
 from cartaninv import errors, symalg
 from cartaninv.errors import Budget, BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of
@@ -72,11 +73,12 @@ def test_ad_examples(w1_p3):
 
 @pytest.fixture(scope="module")
 def kernel_algebras(hbar_p3, hbar_p5, w2_p3, w2_p5, s2_p3, s2_p5):
-    """W_1(2), W_2(1,1), S_2(1,1), H and Hbar at p = 3 and p = 5."""
+    """W_1(2), W_2(1,1), S_2(1,1), H and Hbar at p = 3 and p = 5, and
+    S_3(1,1,1) at p = 3."""
     out = []
     for p, w2, s2, hbar in ((3, w2_p3, s2_p3, hbar_p3), (5, w2_p5, s2_p5, hbar_p5)):
         out += [build_w(FieldParams(p, 1, (2,))), w2, s2, hbar.h_subalgebra, hbar]
-    return out
+    return out + [build_s(FieldParams(3, 3, (1, 1, 1)))]
 
 
 def ad_element(F, element):
@@ -87,17 +89,24 @@ def ad_element(F, element):
 @pytest.mark.parametrize("ring", ["modp", "int"])
 def test_ad_pass_matches_tuple_key_oracle(kernel_algebras, ring):
     rng = random.Random(37)
+    layers = Counter()
     for alg in kernel_algebras:
         for _ in range(3):
             F = random_poly(rng, alg, max_degree=5, nterms=5, ring=ring)
+            width = symalg._width(F)
             for idx in range(alg.dim):
                 for sign in (1, -1):
                     assert ad_element(F, [(idx, sign)]) == ad_index_oracle(F, idx, sign)
+                layers[alg.kind, len(symalg._ad_operator(F, [(idx, 1)], width))] += 1
             # a two-pair element is the sum of its pairs' passes
             i, j = rng.sample(range(alg.dim), 2)
             ci, cj = rng.randrange(1, alg.params.p), -rng.randrange(1, alg.params.p)
             assert ad_element(F, [(i, ci), (j, cj)]) == (
                 ad_index_oracle(F, i, ci) + ad_index_oracle(F, j, cj))
+    # H and Hbar move each variable to at most one other: one layer per
+    # element; W and S rows with two entries make two-layer passes
+    assert {n for (kind, n) in layers if kind in ("H", "Hbar")} == {1}
+    assert {n for (kind, n) in layers if kind in ("W", "S")} == {1, 2}
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +239,7 @@ def test_unpack_round_trip(p):
         top = max(e for _, e in mono).bit_length()
         for width in range(top, mono_degree(mono).bit_length() + 1):
             (key, _), = symalg._pack_terms(SymPolynomial(hbar, "int", {mono: 1}), width)
-            rows = [[(v, e) for e in range(1 << width)] for v in range(dim)]
+            rows = [([(v, e) for e in range(1 << width)],) for v in range(dim)]
             assert symalg._unpack(key, symalg._fields(width, rows)) == mono
 
 
@@ -307,6 +316,34 @@ def test_d_gamma_charges_each_pass(hbar_p5):
                         counts.append(len(want))
             assert got == want
             assert clock.charged == counts
+
+
+def test_d_delta_builds_one_operator_per_axis(monkeypatch, results_p5):
+    # the chain builds each partial's operator once, at the generator's
+    # width, and applies it delta_a times
+    F = results_p5[6].record.generator
+    alg = F.algebra
+    delta = delta_of(alg.params)
+    ops, passes = [], []
+    build, ad_pass = symalg._ad_operator, symalg._ad_pass
+
+    def building(G, element, width):
+        ops.append((list(element), width))
+        return build(G, element, width)
+
+    def counted(G, op, *args):
+        passes.append(op)
+        return ad_pass(G, op, *args)
+
+    monkeypatch.setattr(symalg, "_ad_operator", building)
+    monkeypatch.setattr(symalg, "_ad_pass", counted)
+    image = d_delta(F)
+    assert image == results_p5[6].record.invariant
+    assert ops == [([alg.partial_coords[axis]], symalg._width(F))
+                   for axis in range(alg.params.n)]
+    assert len(passes) == sum(delta)
+    # an H partial moves each variable to at most one other: one layer
+    assert [len(op) for op in passes] == [1] * sum(delta)
 
 
 def test_ad_leibniz(hbar_p5):
@@ -462,10 +499,11 @@ def test_is_invariant_passes_per_ring(monkeypatch, hbar_p5, results_p5):
     calls = []
     ad_pass = symalg._ad_pass
 
-    def counted(F, element, *args):
-        calls.extend(idx for idx, _ in element)
-        return ad_pass(F, element, *args)
+    def counted(F, op, *args):
+        calls.extend(idx for idx, _ in op.element)
+        return ad_pass(F, op, *args)
 
+    tag_ad_operators(monkeypatch)
     monkeypatch.setattr(symalg, "_ad_pass", counted)
     assert is_invariant(inv).is_invariant
     assert calls == list(h.lie_generators())
@@ -493,7 +531,8 @@ def test_budget_trips_inside_one_long_pass(monkeypatch, hbar_p5):
         for mono in combinations_with_replacement(range(h.dim), 4)})
     assert len(F) > 3 * symalg._STRIDE
     width = symalg._width(F)
-    element = [(h.index["u_{1,0}"], 1)]
+    op = symalg._ad_operator(F, [(h.index["u_{1,0}"], 1)], width)
+    assert len(op) == 1
     read = [0]
 
     def counted():
@@ -502,22 +541,58 @@ def test_budget_trips_inside_one_long_pass(monkeypatch, hbar_p5):
             yield key, c
 
     monkeypatch.setattr(errors.time, "monotonic", lambda: read[0])
-    want = symalg._ad_pass(F, element, width, counted())
+    want = symalg._ad_pass(F, op, counted())
     for deadline in (0, symalg._STRIDE, symalg._STRIDE + 1, 5000, 9000):
         read[0] = 0
         budget = Budget(max_seconds=deadline)
         with pytest.raises(BudgetExceededError, match="time"):
-            symalg._ad_pass(F, element, width, counted(), budget)
+            symalg._ad_pass(F, op, counted(), budget)
         assert 0 <= read[0] - (deadline + 1) <= symalg._STRIDE
         assert read[0] < len(F)
     # the term count of the image so far is charged at the same checks
     read[0] = 0
     with pytest.raises(BudgetExceededError, match="term budget"):
-        symalg._ad_pass(F, element, width, counted(), Budget(max_terms=100))
+        symalg._ad_pass(F, op, counted(), Budget(max_terms=100))
     assert read[0] == symalg._STRIDE + 1
     read[0] = 0
-    assert symalg._ad_pass(F, element, width, counted(),
+    assert symalg._ad_pass(F, op, counted(),
                            Budget(max_terms=len(want), max_seconds=len(F))) == want
+
+
+def test_multi_layer_pass_checks_the_budget_per_stride_in_each_layer(w2_p3):
+    # a two-layer operator walks its input once per layer, and each walk
+    # checkpoints and charges the budget every _STRIDE terms
+    F = SymPolynomial(w2_p3, "modp", {
+        tuple(Counter(mono).items()): 1
+        for mono in combinations_with_replacement(range(w2_p3.dim), 5)})
+    n = len(F)
+    assert n > 3 * symalg._STRIDE
+    width = symalg._width(F)
+    pairs = symalg._pack_terms(F, width)
+    idx = next(i for i in range(w2_p3.dim)
+               if len(symalg._ad_operator(F, [(i, 1)], width)) == 2)
+    op = symalg._ad_operator(F, [(idx, 1)], width)
+    read, log = [0], []
+
+    class Walks:
+        def __iter__(self):
+            for pair in pairs:
+                read[0] += 1
+                yield pair
+
+    class Log:
+        def checkpoint(self):
+            log.append(("checkpoint", read[0]))
+
+        def charge(self, nterms):
+            log.append(("charge", read[0]))
+
+    image = symalg._ad_pass(F, op, Walks(), Log())
+    assert read[0] == 2 * n
+    assert log == [(event, r * n + k * symalg._STRIDE + 1)
+                   for r in range(2) for k in range(1, (n - 1) // symalg._STRIDE + 1)
+                   for event in ("checkpoint", "charge")]
+    assert symalg._unpacked(F, width, image) == ad_index_oracle(F, idx)
 
 
 def planted(alg, rows):
