@@ -96,6 +96,26 @@ def _pairs(floors, delta, budget):
             yield i, j, all(map(le, floors[j], room))
 
 
+def _table(floors, delta, budget, rule):
+    """The structure-constant table {(i, j): row}: each nonzero ``rule(i, j)``
+    over the alive pairs of ``_pairs``, in row order.  The dead pairs bracket
+    to 0 and are not stored."""
+    rows = {}
+    for i, j, alive in _pairs(floors, delta, budget):
+        if alive and (row := rule(i, j)):
+            rows[(i, j)] = row
+    return rows
+
+
+def _alphas(params, budget):
+    """The multi-indices of ``dp_basis(params)`` in order, with
+    ``budget.checkpoint()`` before each: the one basis walk of the builders,
+    so a deadline trips while the basis is made, not after it."""
+    for alpha in dp_basis(params):
+        budget.checkpoint()
+        yield alpha
+
+
 def _combine(row, vecs, p):
     """sum c * vecs[k] over the (k, c) of ``row``, as nonzero residues mod p."""
     out = {}
@@ -145,6 +165,11 @@ class CartanAlgebra:
         if i < j:
             return self.rows_int.get((i, j), ())
         return tuple((k, -c) for k, c in self.rows_int.get((j, i), ()))
+
+    def stored_rows(self):
+        """(i, j, row) for each stored pair i < j with a nonempty integer row,
+        in row order."""
+        return [(i, j, row) for (i, j), row in sorted(self.rows_int.items()) if row]
 
     def row_mod(self, i: int, j: int):
         """The same row reduced mod p (cached)."""
@@ -340,14 +365,12 @@ def build_w(params: FieldParams, verify: bool = True,
             budget: Budget = UNLIMITED) -> CartanAlgebra:
     """General algebra: all x^(a) d_i, dimension n p^(m_1+..+m_n)."""
     delta = delta_of(params)
-    keys = [(alpha, ax) for alpha in dp_basis(params) for ax in range(params.n)]
+    keys = [(alpha, ax) for alpha in _alphas(params, budget) for ax in range(params.n)]
     basis = [BasisElement(_w_label(a, ax), {(ax, a): 1}, sum(a) - 1) for a, ax in keys]
     pos = {k: i for i, k in enumerate(keys)}
     eps = [tuple(1 if t == ax else 0 for t in range(params.n)) for ax in range(params.n)]
-    rows = {}
-    for i, j, alive in _pairs([a for a, _ in keys], delta, budget):
-        if not alive:
-            continue
+
+    def rule(i, j):
         (a, ai), (b, aj) = keys[i], keys[j]
         out = {}
         bs = mi_sub(b, eps[ai])
@@ -360,9 +383,9 @@ def build_w(params: FieldParams, verify: bool = True,
             g = mi_add(asub, b, delta)
             if g is not None:
                 out[(g, ai)] = out.get((g, ai), 0) - multi_binom_int(g, b)
-        row = tuple((pos[k], c) for k, c in out.items() if c)
-        if row:
-            rows[(i, j)] = row
+        return tuple((pos[k], c) for k, c in out.items() if c)
+
+    rows = _table([a for a, _ in keys], delta, budget, rule)
     return CartanAlgebra("W", params, basis, rows, verify=verify, budget=budget)
 
 
@@ -416,53 +439,45 @@ def _ham_pair_coeff(a, b, i, j, delta, scaled):
 
 def _build_hamiltonian(params, scaled, budget=UNLIMITED):
     """Hbar's basis and integer rows, in the monomial (``scaled``) or divided
-    basis; the top element, the field of delta, is the last basis element.
-    ``budget.checkpoint()`` runs once per row i, before its pairs (i, j)."""
+    basis; the top element, the field of delta, is the last basis element."""
     delta = delta_of(params)
-    alphas = [a for a in dp_basis(params) if any(a)]
-    basis = [
-        BasisElement(
-            _ham_label(a, scaled), hamiltonian_field(params, a, scaled), sum(a) - 2
-        )
-        for a in alphas
-    ]
+    alphas, basis = [], []
+    for a in _alphas(params, budget):
+        if any(a):
+            alphas.append(a)
+            basis.append(BasisElement(
+                _ham_label(a, scaled), hamiltonian_field(params, a, scaled), sum(a) - 2))
     pos = {a: i for i, a in enumerate(alphas)}
     pairs = [(s, s + 1) for s in range(0, params.n, 2)]
-    rows = {}
-    for i, j, alive in _pairs(alphas, delta, budget):
-        if not alive:
-            continue
+
+    def rule(i, j):
         out = {}
         for s, t in pairs:
             g, c = _ham_pair_coeff(alphas[i], alphas[j], s, t, delta, scaled)
             if c:
                 out[g] = out.get(g, 0) + c
-        row = tuple((pos[g], c) for g, c in out.items() if c)
-        if row:
-            rows[(i, j)] = row
-    return basis, rows
+        return tuple((pos[g], c) for g, c in out.items() if c)
+
+    return basis, _table(alphas, delta, budget, rule)
 
 
 def _h_from_hbar(params, basis, rows, budget=UNLIMITED):
     """H from Hbar's tables, unverified: the top element and its row entries
     dropped.  H is a subalgebra, so every dropped entry of an H bracket is 0
-    mod p, and Hbar's closure check covers every H bracket.
-    ``budget.checkpoint()`` runs once per row i, before its pairs (i, j)."""
+    mod p, and Hbar's closure check covers every H bracket.  H's pairs are
+    walked with the floors of Hbar's table, its alphas: ``dp_basis`` puts 0
+    first and delta last, so a pair the walk skips holds no Hbar row."""
     p = params.p
     top = len(basis) - 1
-    h_rows = {}
-    for i in range(top):
-        budget.checkpoint()
-        for j in range(i + 1, top):
-            row = rows.get((i, j), ())
-            if any(k == top and c % p for k, c in row):
-                raise ClosureError(
-                    f"[{basis[i].label}, {basis[j].label}] has a top coefficient "
-                    f"nonzero mod {p}"
-                )
-            kept = tuple((k, c) for k, c in row if k != top)
-            if kept:
-                h_rows[(i, j)] = kept
+
+    def rule(i, j):
+        row = rows.get((i, j), ())
+        if any(k == top and c % p for k, c in row):
+            raise ClosureError(f"[{basis[i].label}, {basis[j].label}] has a top "
+                               f"coefficient nonzero mod {p}")
+        return tuple((k, c) for k, c in row if k != top)
+
+    h_rows = _table(dp_basis(params)[1:-1], delta_of(params), budget, rule)
     return CartanAlgebra("H", params, basis[:-1], h_rows, verify=False)
 
 
@@ -515,23 +530,21 @@ def build_s(params: FieldParams, verify: bool = True,
     # are inserted, so the solver keys each bracket by basis index
     solver = SpanSolver(params.p)
     basis = []
-    for alpha in dp_basis(params):
+    for alpha in _alphas(params, budget):
         for i, j in combinations(range(params.n), 2):
             d = _s_field(params, alpha, i, j)
             if d and solver.solve(d) is None:
                 solver.insert(d)
                 basis.append(BasisElement(_s_label(alpha, i, j), d, sum(alpha) - 2))
     vecs = [b.vector for b in basis]
-    rows = {}
-    for i, j, alive in _pairs([_floor(v) for v in vecs], delta_of(params), budget):
-        if not alive:
-            continue
+
+    def rule(i, j):
         sol = solver.solve(bracket(vecs[i], vecs[j], params))
         if sol is None:
             raise ClosureError("S bracket left the computed span")
-        row = tuple(sol.items())
-        if row:
-            rows[(i, j)] = row
+        return tuple(sol.items())
+
+    rows = _table([_floor(v) for v in vecs], delta_of(params), budget, rule)
     return CartanAlgebra("S", params, basis, rows, verify=verify, budget=budget)
 
 
@@ -540,8 +553,9 @@ _BUILDERS = {"W": build_w, "S": build_s, "H": build_h, "Hbar": build_hbar}
 
 def build(kind: str, params: FieldParams, verify: bool = True,
           budget: Budget = UNLIMITED):
-    """Dispatch on the algebra kind tag; ``budget`` bounds the structure-constant
-    table and the closure check, one checkpoint per row."""
+    """Dispatch on the algebra kind tag; ``budget`` bounds the basis walk, one
+    checkpoint per multi-index, and the structure-constant table and the
+    closure check, one checkpoint per row."""
     if kind not in _BUILDERS:
         raise ParameterError(f"unknown algebra kind {kind!r}")
     return _BUILDERS[kind](params, verify=verify, budget=budget)

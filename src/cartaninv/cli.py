@@ -8,6 +8,7 @@ deterministic; "structured" output is the canonical JSON document.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -83,13 +84,9 @@ def _cmd_bracket_table(args) -> int:
     if args.output == "structured":
         _emit(serialize.sc_document(algebra))
         return EX_OK
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            row = algebra.row_int(i, j)
-            if not row:
-                continue
-            rhs = " + ".join(f"{c}*{algebra.basis[k].label}" for k, c in row)
-            print(f"[{algebra.basis[i].label}, {algebra.basis[j].label}] = {rhs}")
+    for i, j, row in algebra.stored_rows():
+        rhs = " + ".join(f"{c}*{algebra.basis[k].label}" for k, c in row)
+        print(f"[{algebra.basis[i].label}, {algebra.basis[j].label}] = {rhs}")
     return EX_OK
 
 
@@ -256,6 +253,7 @@ def _at_least_zero(kind):
     return parse
 
 
+@functools.cache  # built on the first call; parse_args keeps no state
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cartaninv",
@@ -269,8 +267,7 @@ def _parser() -> argparse.ArgumentParser:
         "--m": dict(type=_heights, default=(1, 1),
                     help="comma-separated heights, e.g. 1,1"),
         "--output": dict(choices=["text", "structured"], default="text"),
-        "--store": dict(default=serialize.default_store(),
-                        help=f"store directory (default ${serialize.STORE_ENV})"),
+        "--store": dict(help=f"store directory (default ${serialize.STORE_ENV})"),
         "--max-terms": dict(type=_at_least_zero(int), default=None),
         "--max-seconds": dict(type=_at_least_zero(float), default=None),
     }
@@ -321,6 +318,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    if "store" in args and args.store is None:
+        args.store = serialize.default_store()  # read when the command runs
     try:
         return args.run(args)
     except _StoredRecordFailed as exc:

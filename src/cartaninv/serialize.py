@@ -274,13 +274,8 @@ def basis_document(algebra: CartanAlgebra) -> dict:
 
 def sc_document(algebra: CartanAlgebra) -> dict:
     doc = _basis_header(algebra, SC_FORMAT)
-    rows = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            row = algebra.row_int(i, j)
-            if row:
-                rows.append([i, j, [[k, c] for k, c in row]])
-    doc["rows"] = rows
+    doc["rows"] = [[i, j, [[k, c] for k, c in row]]
+                   for i, j, row in algebra.stored_rows()]
     return doc
 
 

@@ -390,10 +390,11 @@ def test_build_hbar_checks_closure_once(monkeypatch, params3):
                                               ("S", 3, 3, 2), ("H", 5, 2, 1),
                                               ("Hbar", 5, 2, 1)])
 def test_build_checkpoints_once_per_row(kind, p, n, rows):
-    # one checkpoint per row i of the closed-form table, of the closure check
-    # and, for S at n >= 3, of build_s's own bracket table, never one per
-    # pair (i, j); ``rows`` counts the passes over the algebra's own basis,
-    # and H's closure check walks Hbar's rows, one more than H's
+    # one checkpoint per multi-index of the basis walk and per row i of the
+    # closed-form table, of the closure check and, for S at n >= 3, of
+    # build_s's own bracket table, never one per pair (i, j); ``rows`` counts
+    # the passes over the algebra's own basis, and H's closure check walks
+    # Hbar's rows, one more than H's
     params = FieldParams(p, n, (1,) * n)
     table = _table_rows(kind, params)
     clock = TripClock()
@@ -410,15 +411,16 @@ def test_build_checkpoints_once_per_row(kind, p, n, rows):
 
 
 def _table_rows(kind, params):
-    """Rows walked before the closure check: one per W basis key; one per
+    """Checkpoints before the closure check, S's own table at n >= 3 aside:
+    one per multi-index of the basis walk, then one per W basis key; one per
     alpha of Hbar's table for H, Hbar and S at n = 2, and for H and Hbar one
-    more per row of H that _h_from_hbar walks; S at n >= 3 has none."""
-    if kind == "S" and params.n > 2:
-        return 0
+    more per row of H that _h_from_hbar walks."""
     monos = len(dp_basis(params))
+    if kind == "S" and params.n > 2:
+        return monos
     if kind == "W":
-        return monos * params.n
-    return monos - 1 if kind == "S" else (monos - 1) + (monos - 2)
+        return monos + monos * params.n
+    return monos + (monos - 1 if kind == "S" else (monos - 1) + (monos - 2))
 
 
 @pytest.mark.parametrize("kind, n, table", [
@@ -427,24 +429,38 @@ def _table_rows(kind, params):
     ("H", 2, "_h_from_hbar"), ("Hbar", 2, "_h_from_hbar")])
 def test_budget_trips_inside_the_structure_table(kind, n, table):
     # the first and the last row of each table the build walks trip inside
-    # it, before the closure check has begun; H and Hbar walk Hbar's table,
-    # then the rows of H in _h_from_hbar (build_hbar builds that H
-    # unverified, under its own budget)
+    # it, after the basis walk and before the closure check has begun; H and
+    # Hbar walk Hbar's table, then the rows of H in _h_from_hbar (build_hbar
+    # builds that H unverified, under its own budget)
     params = FieldParams(3, n, (1,) * n)
     clock = TripClock()
     algebras.build(kind, params, verify=False, budget=clock)
-    first, last = 1, clock.checkpoints
+    monos = len(dp_basis(params))
+    first, last = monos + 1, clock.checkpoints
     if kind in ("H", "Hbar"):
-        ham = len(dp_basis(params)) - 1
-        first, last = (1, ham) if table == "_build_hamiltonian" else (ham + 1, last)
-    # the pruned tables checkpoint inside the one pair walk they call
-    walk = [table] if table == "_h_from_hbar" else [table, "_pairs"]
+        ham = monos + monos - 1
+        first, last = (first, ham) if table == "_build_hamiltonian" else (ham + 1, last)
+    # every table checkpoints inside the one pair walk of _table
+    walk = [table, "_table", "_pairs"]
     for trip in (first, last):
         with pytest.raises(BudgetExceededError) as exc:
             algebras.build(kind, params, budget=TripClock(trip))
         names = [entry.name for entry in exc.traceback]
         assert names[-1 - len(walk):-1] == walk
         assert "_verify_closure" not in names
+
+
+@pytest.mark.parametrize("kind, n, p", [("W", 2, 101), ("S", 2, 101), ("S", 3, 7),
+                                        ("H", 2, 101), ("Hbar", 2, 101)])
+def test_budget_trips_inside_the_basis_walk(kind, n, p):
+    # the clock is read once per multi-index while the basis is made, so a
+    # spent budget trips at the first one, before any table row: at p = 101
+    # making Hbar's basis fields alone takes about a tenth of a second
+    with pytest.raises(BudgetExceededError) as exc:
+        algebras.build(kind, FieldParams(p, n, (1,) * n), budget=TripClock(1))
+    names = [entry.name for entry in exc.traceback]
+    assert names[-2:] == ["_alphas", "checkpoint"]
+    assert "_pairs" not in names
 
 
 @pytest.mark.parametrize("p, n, m", [(3, 2, (1, 1)), (5, 2, (1, 1)), (7, 2, (1, 1)),

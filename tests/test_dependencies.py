@@ -1,6 +1,7 @@
 """The package runs on the standard library alone: no runtime dependencies."""
 
 import ast
+import importlib
 import sys
 import types
 from pathlib import Path
@@ -119,13 +120,35 @@ def test_generators_grow_only_through_the_closure():
 
 def test_one_truncated_pair_walk():
     # the truncation skip and the row checkpoint are written once, in _pairs:
-    # the three table builders and the closure check walk their pairs with
-    # it, and only _h_from_hbar, which skips nothing, walks rows of its own
+    # _table walks it for the four tables and the closure check walks it
+    # too; the only other checkpoint is the shared basis walk
     tree = ast.parse((ROOT / "src" / "cartaninv" / "algebras.py").read_text())
-    assert _functions_using(tree, {"_pairs"}) == {
-        "build_w", "_build_hamiltonian", "build_s", "CartanAlgebra"}
-    assert _functions_using(tree, {"checkpoint"}) == {"_pairs", "_h_from_hbar"}
+    assert _functions_using(tree, {"_pairs"}) == {"_table", "CartanAlgebra"}
+    assert _functions_using(tree, {"checkpoint"}) == {"_pairs", "_alphas"}
     assert "_room" not in ast.dump(tree)
+
+
+def _stores_pair_rows(node):
+    """Whether ``node`` assigns to a subscript keyed by the pair ``i, j``."""
+    return any(isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store)
+               and isinstance(sub.slice, ast.Tuple)
+               and [getattr(e, "id", None) for e in sub.slice.elts] == ["i", "j"]
+               for sub in ast.walk(node))
+
+
+def test_one_table_writer_and_one_reader():
+    # only _table stores a row of a structure table, and the documents and
+    # the text table read the stored rows, not every pair through row_int
+    tree = ast.parse((ROOT / "src" / "cartaninv" / "algebras.py").read_text())
+    writers = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and _stores_pair_rows(node)}
+    assert writers == {"_table"}
+    for module, reader in (("serialize", "sc_document"), ("cli", "_cmd_bracket_table")):
+        code = _function(ast.parse(
+            (ROOT / "src" / "cartaninv" / f"{module}.py").read_text()), reader)
+        assert _functions_using(ast.Module([code], []), {"row_int"}) == set()
+        assert _functions_using(ast.Module([code], []), {"stored_rows"}) == {reader}
 
 
 def _function(tree, name):
@@ -163,3 +186,13 @@ def test_sources_parse_at_the_declared_python_floor():
         with pytest.raises(SyntaxError):
             ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
                       feature_version=floor)
+
+
+def test_console_script_target_runs(capsys):
+    # the [project.scripts] entry names a callable that takes argv
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    module, _, name = project["scripts"]["cartaninv"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    assert target(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cartaninv ")

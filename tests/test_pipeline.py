@@ -399,7 +399,8 @@ def test_verify_rejects_a_non_invariant_record(hbar_p3, record_p3):
                            {mono: 3 - c, **dict(rest)})
     assert not is_invariant(broken).is_invariant
     record = replace(record_p3, invariant=broken)
-    with pytest.raises(ValueError, match=r"^Delta_2: invariant != d\^\(delta\)"):
+    with pytest.raises(ValueError, match=r"^Delta_2: stored invariant differs from "
+                                         r"the derived one$"):
         record.verify(hbar_p3)
 
 

@@ -336,7 +336,11 @@ def test_cli_verify_rejects_a_tamper_of_every_field(tmp_path, capsys, results_p5
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(serialize.record_to_document(tampered)))
     assert main(["invariant-verify", str(path)]) == EX_FAIL
-    assert "invariant: no" in capsys.readouterr().out
+    # the message names the field; the re-derivation runs at the stored
+    # power, so a changed power shows in the label of the record it derives
+    named = "label" if field == "power" else field
+    prefix = f"invariant: no ({tampered.label}: stored {named} "
+    assert prefix in capsys.readouterr().out
 
 
 def _drop_generator(doc):
@@ -670,6 +674,34 @@ def test_cli_hamiltonian_bracket_tables_pinned(capsys, algebra, n, m, sha):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
 
+# SHA-256 of the text tables, frozen: the text form reads the stored rows
+@pytest.mark.parametrize("argv, sha", [
+    (["--algebra", "W", "--n", "1", "--m", "2"],
+     "318fac6845098cd1dfe2acbec43ed70f7211622c21e619ca5f326996c3b0f3a8"),
+    (["--algebra", "S", "--n", "3", "--m", "1,1,1"],
+     "542bdec0e0e2c12dd35bd21c517182a55e73e7ded7a45b78cdfcb1ab2998f886"),
+    (["--algebra", "Hbar", "--p", "5"],
+     "4d64eb52a338541a6c6a81bd3ac18c66e7dfa770ef7f14f02c130b3dd6d94f01"),
+    (["--algebra", "H", "--m", "2,1"],
+     "bf0c58445565fe5741dffb45591f13bbab3e924ba2d78aabecf907802f290062"),
+])
+def test_cli_text_bracket_tables_pinned(capsys, argv, sha):
+    assert main(["bracket-table", *argv]) == EX_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+def test_cli_reads_the_store_variable_when_a_command_runs(tmp_path, capsys,
+                                                          monkeypatch):
+    # the parser is built once, so the variable set after a first call
+    # still names the store of the next
+    monkeypatch.delenv(serialize.STORE_ENV, raising=False)
+    assert main(["basis", "--p", "3"]) == EX_OK
+    monkeypatch.setenv(serialize.STORE_ENV, str(tmp_path))
+    assert main(["invariant-compute", "--p", "3", "--power", "2"]) == EX_OK
+    capsys.readouterr()
+    assert serialize.record_path(tmp_path, 3, 2, (1, 1), "Delta_2").exists()
+
+
 def test_cli_basis_document_pinned(capsys):
     # the basis document is rendered without the structure constants
     assert main(["basis", "--p", "5", "--output", "structured"]) == EX_OK
@@ -764,7 +796,8 @@ def test_cli_store_reads_verify_the_record(tmp_path, capsys, results_p5, argv):
     path.write_text(json.dumps(doc))
     assert main(argv + ["--p", "5", "--store", str(tmp_path)]) == EX_FAIL
     err = capsys.readouterr().err
-    assert "stored record failed verification: Delta_4_star: stored lambda 15" in err
+    assert ("stored record failed verification: Delta_4_star: stored lambda_value "
+            "15 != derived 16\n") in err
 
 
 @pytest.mark.parametrize("argv", [
