@@ -6,13 +6,13 @@ invariant series for the rank-two Hamiltonian algebra."""
 from .algebras import (
     BasisElement,
     CartanAlgebra,
-    bracket,
     build,
     build_h,
     build_hbar,
     build_s,
     build_w,
     decompose,
+    derivation_bracket,
     filtration_basis,
 )
 from .errors import (
@@ -77,7 +77,6 @@ __all__ = [
     "SymPolynomial",
     "ad_action",
     "ad_partial",
-    "bracket",
     "build",
     "build_h",
     "build_hbar",
@@ -92,6 +91,7 @@ __all__ = [
     "decompose",
     "delta_of",
     "delta_star",
+    "derivation_bracket",
     "dp_basis",
     "filtration_basis",
     "independence_report",

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from operator import le
 from typing import NamedTuple
 
 from .errors import UNLIMITED, Budget, ClosureError, NotInSpanError, ParameterError
@@ -35,7 +34,7 @@ from .gflinalg import SpanSolver
 from .modular import (
     FieldParams,
     delta_of,
-    dp_basis,
+    dp_walk,
     mi_add,
     mi_sub,
     multi_binom_int,
@@ -49,28 +48,101 @@ class BasisElement(NamedTuple):
     grade: int
 
 
-def bracket(u, v, params):
-    """[u, v] of two derivations given as sparse vectors {(axis, alpha): coeff}.
+class _Frame:
+    """One build's packed multi-indices.  alpha is packed as the int
+    sum alpha_t << shift_t; field t is one bit wider than delta_t + 1 needs,
+    and its top bit is a guard.
+
+    ``bias`` fills each field to one below its guard bit past delta_t, so for
+    a packed g with every g_t <= 2 delta_t, ``(g + bias) & guard`` is 0
+    exactly when g <= delta: no field carries into the next.  Each field of
+    ``bias`` is at least 1, so taking one from each borrows nothing and
+    moves the bound to delta + 1.
+    ``binoms[g, a]`` is C(g, a), computed for the pairs this build meets, and
+    the frame lives only as long as its build."""
+
+    def __init__(self, params):
+        self.p = params.p
+        self.delta = delta_of(params)
+        self.fields, self.units, self.masks = [], [], []  # fields: (shift, mask)
+        self.guard = self.bias = offset = 0
+        for d in self.delta:
+            width = (d + 1).bit_length() + 1
+            top = 1 << (width - 1)
+            self.fields.append((offset, (1 << width) - 1))
+            self.units.append(1 << offset)
+            self.masks.append(((1 << width) - 1) << offset)
+            self.guard |= top << offset
+            self.bias += (top - 1 - d) << offset
+            offset += width
+        self.binoms = _Binomials(self.fields)
+
+    def pack_alpha(self, alpha):
+        if len(alpha) != len(self.delta) or not all(
+                0 <= a <= d for a, d in zip(alpha, self.delta)):
+            raise ValueError(f"multi-index {alpha} is not between 0 and {self.delta}")
+        return sum(a << shift for a, (shift, _) in zip(alpha, self.fields))
+
+    def pack(self, vec):
+        """A derivation vector {(axis, alpha): c} with packed alphas."""
+        return {(axis, self.pack_alpha(alpha)): c for (axis, alpha), c in vec.items()}
+
+    def unpack(self, vec):
+        """The derivation vector {(axis, alpha): c} of a packed one."""
+        return {(axis, tuple(g >> shift & mask for shift, mask in self.fields)): c
+                for (axis, g), c in vec.items()}
+
+
+class _Binomials(dict):
+    """C(g, a) = prod_t C(g_t, a_t) of two packed multi-indices, keyed (g, a)
+    and computed on first use."""
+
+    def __init__(self, fields):
+        super().__init__()
+        self.fields = fields
+
+    def __missing__(self, key):
+        g, a = key
+        c = 1
+        for shift, mask in self.fields:
+            c *= math.comb(g >> shift & mask, a >> shift & mask)
+        self[key] = c
+        return c
+
+
+def bracket(u, v, frame):
+    """[u, v] of two derivations given as vectors {(axis, alpha): coeff} whose
+    alphas ``frame`` packed.
 
     The k-th coefficient is sum_i (f_i d_i g_k - g_i d_i f_k), where
     x^(a) x^(b) = C(a+b, a) x^(a+b), zero past delta.  Exact integers are
     accumulated and reduced mod p once; the result holds the nonzero residues.
     This is the generic divided-power rule: it never reads a closed form.
     """
-    delta = delta_of(params)
+    units, masks, bias, guard = frame.units, frame.masks, frame.bias, frame.guard
+    binoms = frame.binoms
     out = {}
     for x, y, sign in ((u, v, 1), (v, u, -1)):
-        # x^(a) d_i applied to the coefficient x^(b) of d_k
+        # x^(a) d_i applied to the coefficient x^(b) of d_k: the index
+        # g = a + (b - e_i), which is kept when no field of g passes delta
         for (i, a), ca in x.items():
+            # a - e_i may borrow from the next field; a + (b - e_i) does not
+            mask, base = masks[i], a - units[i]
             for (k, b), cb in y.items():
-                if b[i]:
-                    g = mi_add(a, b[:i] + (b[i] - 1,) + b[i + 1:], delta)
-                    if g is not None:
+                if b & mask:
+                    g = base + b
+                    if not (g + bias) & guard:
                         key = (k, g)
-                        c = sign * ca * cb * multi_binom_int(g, a)
-                        out[key] = out.get(key, 0) + c
-    p = params.p
+                        out[key] = out.get(key, 0) + sign * ca * cb * binoms[g, a]
+    p = frame.p
     return {key: c % p for key, c in out.items() if c % p}
+
+
+def derivation_bracket(u, v, params):
+    """[u, v] of two derivation vectors {(axis, alpha): coeff}: ``bracket``
+    on a frame made for this one call."""
+    frame = _Frame(params)
+    return frame.unpack(bracket(frame.pack(u), frame.pack(v), frame))
 
 
 def _floor(vec):
@@ -78,7 +150,7 @@ def _floor(vec):
     return tuple(map(min, zip(*(alpha for _, alpha in vec))))
 
 
-def _pairs(floors, delta, budget):
+def _pairs(floors, frame, budget):
     """Yield (i, j, alive) for the pairs i < j of elements with these floors,
     in row order; ``budget.checkpoint()`` runs once per row i, before its pairs.
 
@@ -87,31 +159,34 @@ def _pairs(floors, delta, budget):
     x^(a) x^(b - e_i) and x^(b) x^(a - e_k) has t-th index past delta_t and
     vanishes.  The closed forms pass basis alphas as floors: x^(a) d_i has the
     floor a, and each Hamiltonian pair term g = a + b - e_s - e_t has
-    g_t >= a_t + b_t - 1.
+    g_t >= a_t + b_t - 1.  With the floors packed by ``frame``, the bound on
+    every t is one guard-bit test of their sum.
     """
-    for i, floor in enumerate(floors):
+    packed = [frame.pack_alpha(floor) for floor in floors]
+    guard, room = frame.guard, frame.bias - sum(frame.units)
+    for i, floor in enumerate(packed):
         budget.checkpoint()
-        room = tuple(d + 1 - x for d, x in zip(delta, floor))
-        for j in range(i + 1, len(floors)):
-            yield i, j, all(map(le, floors[j], room))
+        lift = floor + room
+        for j in range(i + 1, len(packed)):
+            yield i, j, not (lift + packed[j]) & guard
 
 
-def _table(floors, delta, budget, rule):
+def _table(floors, params, budget, rule):
     """The structure-constant table {(i, j): row}: each nonzero ``rule(i, j)``
     over the alive pairs of ``_pairs``, in row order.  The dead pairs bracket
     to 0 and are not stored."""
     rows = {}
-    for i, j, alive in _pairs(floors, delta, budget):
+    for i, j, alive in _pairs(floors, _Frame(params), budget):
         if alive and (row := rule(i, j)):
             rows[(i, j)] = row
     return rows
 
 
 def _alphas(params, budget):
-    """The multi-indices of ``dp_basis(params)`` in order, with
+    """The multi-indices of ``dp_walk(params)`` in order, with
     ``budget.checkpoint()`` before each: the one basis walk of the builders,
     so a deadline trips while the basis is made, not after it."""
-    for alpha in dp_basis(params):
+    for alpha in dp_walk(params):
         budget.checkpoint()
         yield alpha
 
@@ -306,25 +381,27 @@ class CartanAlgebra:
         only a row stored for it is read.  A bracket must equal its row
         expanded in derivation coordinates, which fixes the row mod p as the
         basis is independent; only a mismatch is solved on the basis, to name
-        the failure."""
+        the failure.  One ``_Frame`` packs the basis vectors for the whole
+        check, and ``bracket`` is called once per alive pair."""
         for b in self.basis:
             if any(sum(alpha) - 1 != b.grade for _, alpha in b.vector):
                 raise ClosureError(f"grade of {b.label} does not match its derivation")
         p = self.params.p
         solver = self._get_solver()
-        vecs = [b.vector for b in self.basis]
-        floors = [_floor(v) for v in vecs]
-        delta = delta_of(self.params)
-        for i, j, alive in _pairs(floors, delta, budget):
+        frame = _Frame(self.params)
+        vecs = [frame.pack(b.vector) for b in self.basis]
+        floors = [_floor(b.vector) for b in self.basis]
+        for i, j, alive in _pairs(floors, frame, budget):
             if alive:
-                got = bracket(vecs[i], vecs[j], self.params)
+                got = bracket(vecs[i], vecs[j], frame)
             elif (i, j) in self.rows_int:
                 got = {}
             else:
                 continue
-            stored = self.row_mod(i, j)
-            if got != _combine(stored, vecs, p):
-                coords = solver.solve(got)
+            # the integer row, expanded and reduced mod p: row_mod would cache
+            # every pair's residues, and only a mismatch needs them
+            if got != _combine(self.rows_int.get((i, j), ()), vecs, p):
+                coords = solver.solve(frame.unpack(got))
                 if coords is None:
                     raise ClosureError(
                         f"[{self.basis[i].label}, {self.basis[j].label}] "
@@ -333,7 +410,7 @@ class CartanAlgebra:
                 raise ClosureError(
                     f"structure constants disagree with the bracket of "
                     f"{self.basis[i].label}, {self.basis[j].label}: "
-                    f"{dict(stored)} vs {coords}"
+                    f"{dict(self.row_mod(i, j))} vs {coords}"
                 )
 
 
@@ -385,7 +462,7 @@ def build_w(params: FieldParams, verify: bool = True,
                 out[(g, ai)] = out.get((g, ai), 0) - multi_binom_int(g, b)
         return tuple((pos[k], c) for k, c in out.items() if c)
 
-    rows = _table([a for a, _ in keys], delta, budget, rule)
+    rows = _table([a for a, _ in keys], params, budget, rule)
     return CartanAlgebra("W", params, basis, rows, verify=verify, budget=budget)
 
 
@@ -458,15 +535,24 @@ def _build_hamiltonian(params, scaled, budget=UNLIMITED):
                 out[g] = out.get(g, 0) + c
         return tuple((pos[g], c) for g, c in out.items() if c)
 
-    return basis, _table(alphas, delta, budget, rule)
+    return basis, _table(alphas, params, budget, rule)
+
+
+def _ham_alpha(vector):
+    """The alpha of a Hamiltonian field, read off any of its terms: the term
+    on d_k is x^(alpha - e_i) for i = k ^ 1."""
+    axis, beta = next(iter(vector))
+    i = axis ^ 1
+    return beta[:i] + (beta[i] + 1,) + beta[i + 1:]
 
 
 def _h_from_hbar(params, basis, rows, budget=UNLIMITED):
     """H from Hbar's tables, unverified: the top element and its row entries
     dropped.  H is a subalgebra, so every dropped entry of an H bracket is 0
     mod p, and Hbar's closure check covers every H bracket.  H's pairs are
-    walked with the floors of Hbar's table, its alphas: ``dp_basis`` puts 0
-    first and delta last, so a pair the walk skips holds no Hbar row."""
+    walked with the floors of Hbar's table, the alphas of its fields without
+    delta, which the basis walk puts last, so a pair the walk skips holds no
+    Hbar row."""
     p = params.p
     top = len(basis) - 1
 
@@ -477,7 +563,8 @@ def _h_from_hbar(params, basis, rows, budget=UNLIMITED):
                                f"coefficient nonzero mod {p}")
         return tuple((k, c) for k, c in row if k != top)
 
-    h_rows = _table(dp_basis(params)[1:-1], delta_of(params), budget, rule)
+    floors = [_ham_alpha(b.vector) for b in basis[:top]]
+    h_rows = _table(floors, params, budget, rule)
     return CartanAlgebra("H", params, basis[:-1], h_rows, verify=False)
 
 
@@ -536,15 +623,16 @@ def build_s(params: FieldParams, verify: bool = True,
             if d and solver.solve(d) is None:
                 solver.insert(d)
                 basis.append(BasisElement(_s_label(alpha, i, j), d, sum(alpha) - 2))
-    vecs = [b.vector for b in basis]
+    frame = _Frame(params)
+    vecs = [frame.pack(b.vector) for b in basis]
 
     def rule(i, j):
-        sol = solver.solve(bracket(vecs[i], vecs[j], params))
+        sol = solver.solve(frame.unpack(bracket(vecs[i], vecs[j], frame)))
         if sol is None:
             raise ClosureError("S bracket left the computed span")
         return tuple(sol.items())
 
-    rows = _table([_floor(v) for v in vecs], delta_of(params), budget, rule)
+    rows = _table([_floor(b.vector) for b in basis], params, budget, rule)
     return CartanAlgebra("S", params, basis, rows, verify=verify, budget=budget)
 
 

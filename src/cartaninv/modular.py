@@ -48,7 +48,7 @@ class FieldParams:
                 raise ParameterError(
                     f"m must be a sequence of ints, got {self.m!r}") from None
         # a float or bool equal to an int would share its hash, and so the
-        # entries of the lru_caches keyed on FieldParams
+        # entries of delta_of's lru_cache
         if any(type(x) is not int for x in (self.p, self.n, *self.m)):
             raise ParameterError(
                 f"p, n and every m_i must be ints, got {self.p!r}, {self.n!r}, {self.m!r}")
@@ -80,17 +80,28 @@ def delta_of(params: FieldParams) -> MultiIndex:
     return tuple(params.p ** mi - 1 for mi in params.m)
 
 
-@lru_cache(maxsize=None)
-def dp_basis(params: FieldParams):
-    """All multi-indices alpha <= delta, ordered by (|alpha|, lex).
+def dp_walk(params: FieldParams):
+    """Yield the multi-indices alpha <= delta in (|alpha|, lex) order, one at
+    a time: the canonical basis order used everywhere downstream."""
+    delta = delta_of(params)
+    for total in range(sum(delta) + 1):
+        yield from _graded(delta, total)
 
-    This order is the canonical basis order used everywhere downstream.
-    """
-    idxs = [()]
-    for d in delta_of(params):
-        idxs = [t + (i,) for t in idxs for i in range(d + 1)]
-    idxs.sort(key=lambda a: (sum(a), a))
-    return tuple(idxs)
+
+def _graded(delta, total):
+    """The alpha <= delta with |alpha| = total, in lex order."""
+    if len(delta) == 1:
+        yield (total,)
+        return
+    d, rest = delta[0], delta[1:]
+    for a in range(max(0, total - sum(rest)), min(d, total) + 1):
+        for tail in _graded(rest, total - a):
+            yield (a,) + tail
+
+
+def dp_basis(params: FieldParams):
+    """All multi-indices alpha <= delta, in the order of ``dp_walk``."""
+    return tuple(dp_walk(params))
 
 
 def multi_binom_int(alpha: MultiIndex, beta: MultiIndex) -> int:

@@ -93,6 +93,8 @@ def _write(value, out, depth):
             lead = sep
             _write(value[key], out, depth + 1)
         out += (_LAYOUT[depth][0], "}")
+    elif isinstance(value, _TermList):
+        value.write(out, depth)
     else:
         raise TypeError(f"a canonical document holds no {type(value).__name__}")
 
@@ -137,15 +139,64 @@ def _check_header(doc, fmt: str, algebra: CartanAlgebra) -> None:
 
 # -- polynomials ----------------------------------------------------------------
 
-def poly_to_document(F: SymPolynomial) -> dict:
+def _poly_document(F: SymPolynomial, terms) -> dict:
     doc = _header(F.algebra, POLY_FORMAT)
     doc["ring"] = F.ring
+    doc["terms"] = terms
+    return doc
+
+
+def poly_to_document(F: SymPolynomial) -> dict:
     labels = [b.label for b in F.algebra.basis]
-    doc["terms"] = [
+    return _poly_document(F, [
         {"monomial": [[labels[v], e] for v, e in mono], "coefficient": c}
         for mono, c in F.sorted_terms()
-    ]
-    return doc
+    ])
+
+
+class _TermList:
+    """A polynomial's term list in a document that is only written: ``_write``
+    gives it the text of ``poly_to_document``'s list, straight from
+    ``sorted_terms()`` with no dict or list per term."""
+
+    def __init__(self, F: SymPolynomial):
+        self.F = F
+
+    def write(self, out, depth):
+        """Append the list's canonical text, nested ``depth`` deep, to ``out``:
+        each term is an object at depth + 1 whose keys sit at depth + 2, and
+        each factor a pair at depth + 3 whose items sit at depth + 4."""
+        terms = self.F.sorted_terms()
+        if not terms:
+            out.append("[]")
+            return
+        _grow_layout(depth + 4)
+        lead = [lead for lead, _ in _LAYOUT[depth:depth + 5]]
+        factor = _FactorText(
+            [f"[{lead[4]}{_quote(b.label)},{lead[4]}" for b in self.F.algebra.basis],
+            lead[3] + "]").__getitem__
+        head = "{" + lead[2] + '"coefficient": '
+        mid = "," + lead[2] + '"monomial": '
+        opened, factor_sep, closed = "[" + lead[3], "," + lead[3], lead[2] + "]"
+        tail = lead[1] + "}"
+        out += ("[", lead[1], ("," + lead[1]).join([
+            head + int.__repr__(c) + mid
+            + (opened + factor_sep.join(map(factor, mono)) + closed if mono else "[]")
+            + tail for mono, c in terms]), lead[0], "]")
+
+
+class _FactorText(dict):
+    """The text of a factor (v, e) of a term list: ``before[v]``, the
+    exponent, ``after``; made the first time one render meets it."""
+
+    def __init__(self, before, after):
+        super().__init__()
+        self.before, self.after = before, after
+
+    def __missing__(self, factor):
+        v, e = factor
+        text = self[factor] = self.before[v] + int.__repr__(e) + self.after
+        return text
 
 
 def document_to_poly(doc, algebra: CartanAlgebra) -> SymPolynomial:
@@ -190,7 +241,7 @@ def document_to_poly(doc, algebra: CartanAlgebra) -> SymPolynomial:
 
 # -- invariant records -------------------------------------------------------------
 
-def record_to_document(record: InvariantRecord) -> dict:
+def _record_document(record: InvariantRecord, poly) -> dict:
     return {
         "format": RECORD_FORMAT,
         "version": VERSION,
@@ -199,9 +250,13 @@ def record_to_document(record: InvariantRecord) -> dict:
         "p_power_m": record.p_power_m,
         "lambda_value": record.lambda_value,
         "term_count": record.term_count,
-        "generator": poly_to_document(record.generator),
-        "invariant": poly_to_document(record.invariant),
+        "generator": poly(record.generator),
+        "invariant": poly(record.invariant),
     }
+
+
+def record_to_document(record: InvariantRecord) -> dict:
+    return _record_document(record, poly_to_document)
 
 
 _RECORD_FIELDS = (("generator", dict), ("invariant", dict), ("label", str),
@@ -332,8 +387,11 @@ def _write_atomic(path: Path, text: str) -> Path:
 
 
 def record_text(record: InvariantRecord) -> str:
-    """The canonical text of a record's document, as stored and emitted."""
-    return dumps_canonical(record_to_document(record))
+    """The canonical text of a record's document, as stored and emitted: the
+    bytes of ``dumps_canonical(record_to_document(record))``, with each term
+    list written straight from the sorted terms."""
+    return dumps_canonical(_record_document(
+        record, lambda F: _poly_document(F, _TermList(F))))
 
 
 def save_record(store, record: InvariantRecord, text: str | None = None) -> Path:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cartaninv import symalg
-from cartaninv.algebras import bracket, build_hbar, build_s, build_w, decompose
+from cartaninv.algebras import build_hbar, build_s, build_w, decompose, derivation_bracket
 from cartaninv.errors import Budget, BudgetExceededError, ParameterError
 from cartaninv.modular import FieldParams, delta_of, dp_basis, mi_add, multi_binom_int
 from cartaninv.pipeline import conjecture_sweep, delta_star
@@ -189,7 +189,7 @@ def commutation_expansion_check(D, F):
         if got is None:
             axis = next(i for i, g in enumerate(gamma) if g > 0)
             prev = gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1:]
-            got = bracket(partials[axis], it_bracket(prev), params)
+            got = derivation_bracket(partials[axis], it_bracket(prev), params)
             iterated[gamma] = got
         return got
 

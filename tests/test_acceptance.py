@@ -15,7 +15,7 @@ import pytest
 
 from conftest import commutation_expansion_check, load_fixture, tag_ad_operators
 from cartaninv import serialize, symalg
-from cartaninv.algebras import bracket, build, build_hbar, decompose
+from cartaninv.algebras import build, build_hbar, decompose, derivation_bracket
 from cartaninv.cli import EX_OK, main
 from cartaninv.gflinalg import kernel_basis
 from cartaninv.modular import FieldParams, multi_binom_int
@@ -202,7 +202,7 @@ def test_criterion_6_structural_suites(w2_p3, w2_p5, s2_p3, s2_p5,
     for alg in (s2_p3, s2_p5, hbar_p3.h_subalgebra, hbar_p5.h_subalgebra):
         for i in range(alg.dim):
             for j in range(i + 1, alg.dim):
-                br = bracket(alg.basis[i].vector, alg.basis[j].vector, alg.params)
+                br = derivation_bracket(alg.basis[i].vector, alg.basis[j].vector, alg.params)
                 # raises if outside the span
                 assert decompose(br, alg) == dict(alg.row_mod(i, j))
     assert hbar_p3.h_subalgebra.dim == 3 * 3 - 2 and hbar_p3.dim == 3 * 3 - 1

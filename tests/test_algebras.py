@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -14,15 +15,17 @@ from cartaninv.algebras import (
     build_s,
     build_w,
     decompose,
+    derivation_bracket,
     filtration_basis,
 )
 from cartaninv.errors import (
+    UNLIMITED,
     BudgetExceededError,
     ClosureError,
     NotInSpanError,
     ParameterError,
 )
-from cartaninv.modular import FieldParams, dp_basis
+from cartaninv.modular import FieldParams, delta_of, dp_basis
 from cartaninv.pipeline import lambda_of_variable
 from cartaninv.serialize import dumps_canonical, sc_document
 
@@ -95,12 +98,12 @@ def test_hbar_p5_top(hbar_p5):
 def test_bracket_examples(w2_p3, hbar_p3):
     params = w2_p3.params
     d1, d2 = {(0, (0, 0)): 1}, {(1, (0, 0)): 1}
-    assert bracket(d1, d2, params) == {}
-    assert bracket(d1, {(0, (2, 0)): 1}, params) == {(0, (1, 0)): 1}
+    assert derivation_bracket(d1, d2, params) == {}
+    assert derivation_bracket(d1, {(0, (2, 0)): 1}, params) == {(0, (1, 0)): 1}
     # [D((1,1)), D((2,0))] is a scalar multiple of D((2,0)): here -2 u_{2,0}
     i, j = hbar_p3.index["u_{1,1}"], hbar_p3.index["u_{2,0}"]
     assert hbar_p3.row_int(i, j) == ((hbar_p3.index["u_{2,0}"], -2),)
-    br = bracket(hbar_p3.basis[i].vector, hbar_p3.basis[j].vector, params)
+    br = derivation_bracket(hbar_p3.basis[i].vector, hbar_p3.basis[j].vector, params)
     assert decompose(br, hbar_p3) == {hbar_p3.index["u_{2,0}"]: 1}
 
 
@@ -116,7 +119,7 @@ def test_bracket_is_the_operator_commutator():
     # heights above 1 are where the binomials mod p matter
     rng = random.Random(23)
     for kind, p, m in [("W", 3, (1, 1)), ("W", 3, (2,)), ("S", 5, (1, 1)),
-                       ("Hbar", 5, (1, 1)), ("H", 3, (2, 1))]:
+                       ("Hbar", 5, (1, 1)), ("H", 3, (2, 1)), ("W", 101, (1,))]:
         params = FieldParams(p, len(m), m)
         # unverified: the closure check calls ``bracket`` too, and the oracle
         # alone must catch a wrong rule
@@ -125,7 +128,7 @@ def test_bracket_is_the_operator_commutator():
             d1, d2 = _random_field(rng, params), _random_field(rng, params)
             if trial % 2:
                 d1 = vec_sum(p, (1, d1), (1, random_derivation(rng, alg)))
-            br = bracket(d1, d2, params)
+            br = derivation_bracket(d1, d2, params)
             for alpha in dp_basis(params):
                 f = {alpha: 1}
                 want = dp_add(params, (1, dp_apply(params, d1, dp_apply(params, d2, f))),
@@ -133,11 +136,33 @@ def test_bracket_is_the_operator_commutator():
                 assert dp_apply(params, br, f) == want, (kind, p, m, d1, d2, alpha)
 
 
+@pytest.mark.parametrize("p, m", [(3, (1, 1)), (3, (2,)), (5, (2, 1)), (101, (1,))])
+def test_packed_truncation_bounds(p, m):
+    # mirrors test_mi_add_bounds on the build's packed frame, at delta_t = 2,
+    # 8, 24 and 100: [x^(e_1) d_1, x^(delta) d_1] has its one term exactly at
+    # delta, (delta_1 - 1) x^(delta) d_1, and it is kept; one more in any
+    # field of the first alpha puts both products past delta, and they drop
+    params = FieldParams(p, len(m), m)
+    delta = delta_of(params)
+    frame = algebras._Frame(params)
+    unit = [tuple(int(t == s) for t in range(len(m))) for s in range(len(m))]
+    top = {(0, delta): 1}
+    assert derivation_bracket({(0, unit[0]): 1}, top, params) == {(0, delta): p - 2}
+    for s in range(len(m)):
+        past = tuple(x + y for x, y in zip(unit[0], unit[s]))
+        assert derivation_bracket({(0, past): 1}, top, params) == {}
+    # the pair walk's bound: a floor sum of delta_t + 1 is alive, delta_t + 2 not
+    for s in range(len(m)):
+        one, two = unit[s], tuple(2 * x for x in unit[s])
+        walk = list(algebras._pairs([delta, one, two], frame, UNLIMITED))
+        assert walk == [(0, 1, True), (0, 2, False), (1, 2, True)]
+
+
 def test_antisymmetry(hbar_p5):
     rng = random.Random(29)
     for _ in range(10):
         d = random_derivation(rng, hbar_p5)
-        assert bracket(d, d, hbar_p5.params) == {}
+        assert derivation_bracket(d, d, hbar_p5.params) == {}
 
 
 @pytest.mark.parametrize("fix", ["w2_p3", "hbar_p5", "s2_p3"])
@@ -177,7 +202,7 @@ def test_decompose(w2_p3, hbar_p3, s2_p3):
         i, j = rng.randrange(s2_p3.dim), rng.randrange(s2_p3.dim)
         if i == j:
             continue
-        br = bracket(s2_p3.basis[i].vector, s2_p3.basis[j].vector, s2_p3.params)
+        br = derivation_bracket(s2_p3.basis[i].vector, s2_p3.basis[j].vector, s2_p3.params)
         assert decompose(br, s2_p3) == dict(s2_p3.row_mod(i, j))
     # x^(delta) d_1 has divergence x^(delta - e_1) != 0: not in the S span
     with pytest.raises(NotInSpanError):
@@ -346,12 +371,13 @@ def test_closure_skips_only_pairs_whose_bracket_is_zero(monkeypatch, kind, p, m)
     # every pair the closure check does not bracket must bracket to 0, hold no
     # row, and be checked all the same: a row planted on it is refused
     alg = algebras.build(kind, FieldParams(p, len(m), m), verify=False)
-    index = {id(b.vector): k for k, b in enumerate(alg.basis)}
+    # the check brackets packed vectors: unpacked, each is one basis vector
+    index = {frozenset(b.vector.items()): k for k, b in enumerate(alg.basis)}
     called = set()
 
-    def recorded(u, v, params):
-        called.add((index[id(u)], index[id(v)]))
-        return bracket(u, v, params)
+    def recorded(u, v, frame):
+        called.add(tuple(index[frozenset(frame.unpack(w).items())] for w in (u, v)))
+        return bracket(u, v, frame)
 
     monkeypatch.setattr(algebras, "bracket", recorded)
     alg._verify_closure()
@@ -359,7 +385,7 @@ def test_closure_skips_only_pairs_whose_bracket_is_zero(monkeypatch, kind, p, m)
                if (i, j) not in called]
     assert len(called) + len(skipped) == alg.dim * (alg.dim - 1) // 2
     for i, j in skipped:
-        assert bracket(alg.basis[i].vector, alg.basis[j].vector, alg.params) == {}
+        assert derivation_bracket(alg.basis[i].vector, alg.basis[j].vector, alg.params) == {}
         assert (i, j) not in alg.rows_int
     # none is skipped in the p = 3 tables of H_2(1,1), Hbar_2(1,1) and S_2(1,1)
     assert skipped or (p, m) == (3, (1, 1)) and kind != "W"
@@ -463,6 +489,21 @@ def test_budget_trips_inside_the_basis_walk(kind, n, p):
     assert "_pairs" not in names
 
 
+def test_basis_walk_is_lazy_and_keeps_nothing():
+    # the first multi-index is made before the first checkpoint, not the
+    # 167,281 of p = 409, and no basis list outlives its call
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as exc:
+            build_hbar(FieldParams(409, 2, (1, 1)), budget=TripClock(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [entry.name for entry in exc.traceback][-2:] == ["_alphas", "checkpoint"]
+    assert peak < 1 << 20
+    assert not hasattr(dp_basis, "cache_info")
+
+
 @pytest.mark.parametrize("p, n, m", [(3, 2, (1, 1)), (5, 2, (1, 1)), (7, 2, (1, 1)),
                                      (3, 2, (2, 1)), (3, 4, (1, 1, 1, 1))])
 def test_h_is_hbar_without_its_top_element(p, n, m):
@@ -554,7 +595,7 @@ def _generated_dim(alg, gens):
         new = []
         for x in fresh:
             for g in elems:
-                br = bracket(g, x, alg.params)
+                br = derivation_bracket(g, x, alg.params)
                 if insert(decompose(br, alg)):
                     new.append(br)
         fresh = new

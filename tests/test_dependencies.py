@@ -196,3 +196,34 @@ def test_console_script_target_runs(capsys):
     target = getattr(importlib.import_module(module), name)
     assert target(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: cartaninv ")
+
+
+def test_closure_check_brackets_through_the_module_and_apart_from_the_rules():
+    tree = ast.parse((ROOT / "src" / "cartaninv" / "algebras.py").read_text())
+    # the check calls the module-global bracket, once per alive pair, where
+    # the tracer counts it and a stub clock can advance
+    alg, = (node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "CartanAlgebra")
+    check, = (node for node in alg.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_verify_closure")
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bracket"
+               for node in ast.walk(check))
+    # the kernel and its frame share no arithmetic with the closed forms they
+    # check, and the closed forms never read the frame
+    rules = {"mi_add", "mi_sub", "multi_binom_int", "_ham_pair_coeff"}
+    kernel = {"bracket", "_Frame", "_Binomials"}
+    assert kernel <= {node.name for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not kernel & _functions_using(tree, rules)
+    assert not {"build_w", "_build_hamiltonian"} & _functions_using(tree, {"_Frame"})
+
+
+@pytest.mark.parametrize("name", ["algebras.py", "serialize.py"])
+def test_no_cache_outlives_a_call(name):
+    # a build's binomials and a record's text are made per call
+    tree = ast.parse((ROOT / "src" / "cartaninv" / name).read_text())
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"lru_cache", "cache"}

@@ -189,6 +189,25 @@ def test_canonical_writer_matches_json_dumps_on_every_document(request, p):
         assert serialize.dumps_canonical(doc) == _json_dumps_canonical(doc)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_record_text_is_the_canonical_record_document(request, p):
+    # record_text writes each term list straight from the sorted terms: the
+    # bytes of the record document, on the records of the series under
+    # 10,000 terms and on a zero invariant beside a generator that holds a
+    # constant term
+    records = {3: lambda: [request.getfixturevalue("record_p3")],
+               5: lambda: [r.record for r in
+                           request.getfixturevalue("results_p5").values()],
+               7: lambda: list(request.getfixturevalue("sweep_p7").records)}[p]()
+    gen = records[0].generator
+    records.append(replace(records[0], invariant=SymPolynomial.zero(gen.algebra),
+                           generator=gen + SymPolynomial.one(gen.algebra, gen.ring)))
+    for rec in records:
+        if rec.term_count < 10_000:
+            want = serialize.dumps_canonical(serialize.record_to_document(rec))
+            assert serialize.record_text(rec) == want
+
+
 def _random_text(rng):
     return "".join(rng.choice('ab"\\/\b\f\n\r\t\x00\x1f\x7f é∂𝔽δ_{}')
                    for _ in range(rng.randrange(6)))
@@ -250,9 +269,9 @@ def test_cli_store_miss_renders_the_record_once(tmp_path, capsys, monkeypatch):
     # the stored file and the structured output are one rendered text, and
     # its bytes are the pinned record document
     rendered = []
-    to_document = serialize.record_to_document
-    monkeypatch.setattr(serialize, "record_to_document",
-                        lambda rec: rendered.append(rec.label) or to_document(rec))
+    render = serialize.record_text
+    monkeypatch.setattr(serialize, "record_text",
+                        lambda rec: rendered.append(rec.label) or render(rec))
     argv = ["invariant-compute", "--p", "5", "--power", "4", "--store",
             str(tmp_path), "--output", "structured"]
     assert main(argv) == EX_OK
