@@ -362,12 +362,12 @@ class CartanAlgebra:
         return self._solver
 
     def _locate_partial(self, axis):
-        """(index, +1 or -1): d_axis is one signed basis element."""
-        unit = {(axis, (0,) * self.params.n): 1}
-        (i, c), *rest = decompose(unit, self).items()
-        if rest or c not in (1, self.params.p - 1):
-            raise ClosureError(f"d_{axis + 1} is not a signed basis element")
-        return (i, 1 if c == 1 else -1)
+        """(index, +1 or -1): the first basis element that is d_axis or -d_axis."""
+        key, p = (axis, (0,) * self.params.n), self.params.p
+        for i, b in enumerate(self.basis):
+            if len(b.vector) == 1 and b.vector.get(key, 0) % p in (1, p - 1):
+                return (i, 1 if b.vector[key] % p == 1 else -1)
+        raise ClosureError(f"d_{axis + 1} is not a signed basis element")
 
     # -- construction-time verification ---------------------------------------
     def _verify_closure(self, budget: Budget = UNLIMITED):
@@ -538,33 +538,23 @@ def _build_hamiltonian(params, scaled, budget=UNLIMITED):
     return basis, _table(alphas, params, budget, rule)
 
 
-def _ham_alpha(vector):
-    """The alpha of a Hamiltonian field, read off any of its terms: the term
-    on d_k is x^(alpha - e_i) for i = k ^ 1."""
-    axis, beta = next(iter(vector))
-    i = axis ^ 1
-    return beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-
-
 def _h_from_hbar(params, basis, rows, budget=UNLIMITED):
-    """H from Hbar's tables, unverified: the top element and its row entries
-    dropped.  H is a subalgebra, so every dropped entry of an H bracket is 0
-    mod p, and Hbar's closure check covers every H bracket.  H's pairs are
-    walked with the floors of Hbar's table, the alphas of its fields without
-    delta, which the basis walk puts last, so a pair the walk skips holds no
-    Hbar row."""
+    """H from Hbar's stored rows in row order, unverified: the pairs with the
+    top element and every top entry dropped, and no row left empty; one
+    ``budget.checkpoint()`` per stored row.  H is a subalgebra, so a dropped
+    entry of an H bracket is 0 mod p; Hbar's closure check covers them all."""
     p = params.p
     top = len(basis) - 1
-
-    def rule(i, j):
-        row = rows.get((i, j), ())
+    h_rows = {}
+    for (i, j), row in rows.items():
+        budget.checkpoint()
+        if j == top:
+            continue
         if any(k == top and c % p for k, c in row):
             raise ClosureError(f"[{basis[i].label}, {basis[j].label}] has a top "
                                f"coefficient nonzero mod {p}")
-        return tuple((k, c) for k, c in row if k != top)
-
-    floors = [_ham_alpha(b.vector) for b in basis[:top]]
-    h_rows = _table(floors, params, budget, rule)
+        if h_row := tuple((k, c) for k, c in row if k != top):
+            h_rows[(i, j)] = h_row
     return CartanAlgebra("H", params, basis[:-1], h_rows, verify=False)
 
 
@@ -612,22 +602,22 @@ def build_s(params: FieldParams, verify: bool = True,
         basis = [b._replace(label="D_{1,2}" + b.label[1:]) for b in basis]
         return CartanAlgebra("S", params, basis, rows, verify=verify,
                              budget=budget)
-    # n >= 3: no closed integral form is used; decompose the honest bracket
-    # over F_p and store least non-negative residues; only the chosen fields
-    # are inserted, so the solver keys each bracket by basis index
+    # n >= 3: no closed form; the honest bracket is solved over F_p on packed
+    # keys, and only the chosen fields are inserted (insert numbers a dependent
+    # vector too), so the solver keys each bracket by basis index
+    frame = _Frame(params)
     solver = SpanSolver(params.p)
-    basis = []
+    basis, vecs = [], []
     for alpha in _alphas(params, budget):
         for i, j in combinations(range(params.n), 2):
             d = _s_field(params, alpha, i, j)
-            if d and solver.solve(d) is None:
-                solver.insert(d)
+            if d and solver.solve(v := frame.pack(d)) is None:
+                solver.insert(v)
+                vecs.append(v)
                 basis.append(BasisElement(_s_label(alpha, i, j), d, sum(alpha) - 2))
-    frame = _Frame(params)
-    vecs = [frame.pack(b.vector) for b in basis]
 
     def rule(i, j):
-        sol = solver.solve(frame.unpack(bracket(vecs[i], vecs[j], frame)))
+        sol = solver.solve(bracket(vecs[i], vecs[j], frame))
         if sol is None:
             raise ClosureError("S bracket left the computed span")
         return tuple(sol.items())
@@ -642,8 +632,8 @@ _BUILDERS = {"W": build_w, "S": build_s, "H": build_h, "Hbar": build_hbar}
 def build(kind: str, params: FieldParams, verify: bool = True,
           budget: Budget = UNLIMITED):
     """Dispatch on the algebra kind tag; ``budget`` bounds the basis walk, one
-    checkpoint per multi-index, and the structure-constant table and the
-    closure check, one checkpoint per row."""
+    checkpoint per multi-index, the structure-constant table and the closure
+    check, one checkpoint per row, and H's cut, one per stored row of Hbar."""
     if kind not in _BUILDERS:
         raise ParameterError(f"unknown algebra kind {kind!r}")
     return _BUILDERS[kind](params, verify=verify, budget=budget)

@@ -33,7 +33,7 @@ EX_OK, EX_FAIL, EX_USAGE, EX_BUDGET = 0, 1, 2, 3
 def _build_algebra(args, kind, budget=UNLIMITED):
     params = FieldParams(args.p, args.n, args.m)
     if args.store:
-        cached = serialize.load_algebra(args.store, kind, params)
+        cached = serialize.load_algebra(args.store, kind, params, budget)
         if cached is not None:
             return cached
     algebra = build(kind, params, budget=budget)

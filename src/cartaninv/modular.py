@@ -52,6 +52,9 @@ class FieldParams:
         if any(type(x) is not int for x in (self.p, self.n, *self.m)):
             raise ParameterError(
                 f"p, n and every m_i must be ints, got {self.p!r}, {self.n!r}, {self.m!r}")
+        # no build finishes past it (W_1(1) has dimension p): is_prime stays fast
+        if self.p >= 1 << 31:
+            raise ParameterError(f"p must be below 2^31, got {self.p}")
         if not is_prime(self.p):
             raise ParameterError(f"p must be prime, got {self.p}")
         if self.n < 1:

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .algebras import CartanAlgebra, build
-from .errors import SerializationError
+from .errors import UNLIMITED, SerializationError
 from .modular import FieldParams
 from .pipeline import InvariantRecord
 from .symalg import SymPolynomial, render_text  # re-exported: the CLI renders through serialize
@@ -334,9 +334,10 @@ def sc_document(algebra: CartanAlgebra) -> dict:
     return doc
 
 
-def algebra_from_sc_document(doc, kind, params: FieldParams) -> CartanAlgebra:
+def algebra_from_sc_document(doc, kind, params: FieldParams,
+                             budget=UNLIMITED) -> CartanAlgebra:
     """The algebra of ``kind`` and ``params`` from its cached tensor, skipping
-    bracket verification.
+    bracket verification; ``budget`` bounds the build, as it does ``build``.
 
     The requested algebra is built from its closed forms; the document must
     name that kind and those parameters, and its basis and rows must equal
@@ -344,7 +345,7 @@ def algebra_from_sc_document(doc, kind, params: FieldParams) -> CartanAlgebra:
     the full derivation-level verification.  Any other document, whatever
     algebra it describes, fails those comparisons.
     """
-    algebra = build(kind, params, verify=False)
+    algebra = build(kind, params, verify=False, budget=budget)
     _check_header(doc, SC_FORMAT, algebra)
     fresh = sc_document(algebra)
     if doc.get("basis") != fresh["basis"]:
@@ -416,8 +417,9 @@ def save_structure_constants(store, algebra: CartanAlgebra) -> Path:
     return _write_atomic(path, dumps_canonical(sc_document(algebra)))
 
 
-def load_algebra(store, kind, params: FieldParams) -> CartanAlgebra | None:
+def load_algebra(store, kind, params: FieldParams,
+                 budget=UNLIMITED) -> CartanAlgebra | None:
     path = sc_path(store, kind, params.p, params.n, params.m)
     if not path.exists():
         return None
-    return algebra_from_sc_document(json.loads(path.read_text()), kind, params)
+    return algebra_from_sc_document(json.loads(path.read_text()), kind, params, budget)

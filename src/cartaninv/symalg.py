@@ -290,20 +290,23 @@ def _pack_terms(F: SymPolynomial, width: int):
 def _unpack(key: int, fields):
     """The monomial tuple of a packed key, peeling off its top field, the
     lowest index left, as the ad kernel does; ``fields`` maps each field to
-    its variable's (index, exponent) pairs, indexed by exponent."""
+    its variable's shared (index, exponent) pairs, indexed by exponent."""
     mono = []
     while key:
         s, pairs, below = fields[key.bit_length()]
-        mono.append(pairs[key >> s])
+        try:
+            mono.append(pairs[key >> s])
+        except IndexError:
+            mono.append((pairs[0][0], key >> s))
         key &= below
     return tuple(mono)
 
 
 def _unpacked(F: SymPolynomial, width: int, terms) -> SymPolynomial:
     """The tuple-keyed polynomial over F's algebra and ring of ``terms``, a
-    map from packed keys to coefficients.  The (index, exponent) pairs are
-    made once here and shared by every monomial unpacked."""
-    fields = _fields(width, [([(v, e) for e in range(1 << width)],)
+    map from packed keys to coefficients.  The pairs of exponents below 2^8
+    are made once here and shared by every monomial; a higher one gets its own."""
+    fields = _fields(width, [([(v, e) for e in range(1 << min(width, 8))],)
                              for v in range(F.algebra.dim)])
     return F._bare({_unpack(m, fields): c for m, c in terms.items()})
 

@@ -240,7 +240,9 @@ def test_decompose_w_gives_monomial_coordinates(p, n, m):
 def test_partial_coords(hbar_p3, s2_p3, w2_p3):
     # d_1 = -u_{0,1}, d_2 = +u_{1,0} under the standard sign convention
     assert hbar_p3.partial_coords == ((0, -1), (1, 1))
-    for alg in (hbar_p3, s2_p3, w2_p3):
+    more = (build_s(FieldParams(3, 3, (1, 1, 1))), build_h(FieldParams(5, 2, (1, 1))),
+            build_hbar(FieldParams(3, 2, (2, 1))), build_w(FieldParams(3, 1, (2,))))
+    for alg in (hbar_p3, s2_p3, w2_p3, *more):
         for ax, (idx, sign) in enumerate(alg.partial_coords):
             got = vec_sum(alg.params.p, (sign, alg.basis[idx].vector))
             assert got == {(ax, (0,) * alg.params.n): 1}
@@ -418,7 +420,8 @@ def test_build_hbar_checks_closure_once(monkeypatch, params3):
 def test_build_checkpoints_once_per_row(kind, p, n, rows):
     # one checkpoint per multi-index of the basis walk and per row i of the
     # closed-form table, of the closure check and, for S at n >= 3, of
-    # build_s's own bracket table, never one per pair (i, j); ``rows`` counts
+    # build_s's own bracket table, never one per pair (i, j) of the basis, and
+    # for H and Hbar one per row of H's cut; ``rows`` counts
     # the passes over the algebra's own basis, and H's closure check walks
     # Hbar's rows, one more than H's
     params = FieldParams(p, n, (1,) * n)
@@ -440,13 +443,15 @@ def _table_rows(kind, params):
     """Checkpoints before the closure check, S's own table at n >= 3 aside:
     one per multi-index of the basis walk, then one per W basis key; one per
     alpha of Hbar's table for H, Hbar and S at n = 2, and for H and Hbar one
-    more per row of H that _h_from_hbar walks."""
+    more per row Hbar stored, each of which _h_from_hbar reads once."""
     monos = len(dp_basis(params))
     if kind == "S" and params.n > 2:
         return monos
     if kind == "W":
         return monos + monos * params.n
-    return monos + (monos - 1 if kind == "S" else (monos - 1) + (monos - 2))
+    if kind == "S":
+        return monos + monos - 1
+    return monos + monos - 1 + len(build_hbar(params, verify=False).stored_rows())
 
 
 @pytest.mark.parametrize("kind, n, table", [
@@ -456,7 +461,7 @@ def _table_rows(kind, params):
 def test_budget_trips_inside_the_structure_table(kind, n, table):
     # the first and the last row of each table the build walks trip inside
     # it, after the basis walk and before the closure check has begun; H and
-    # Hbar walk Hbar's table, then the rows of H in _h_from_hbar (build_hbar
+    # Hbar walk Hbar's table, then its stored rows in _h_from_hbar (build_hbar
     # builds that H unverified, under its own budget)
     params = FieldParams(3, n, (1,) * n)
     clock = TripClock()
@@ -466,8 +471,9 @@ def test_budget_trips_inside_the_structure_table(kind, n, table):
     if kind in ("H", "Hbar"):
         ham = monos + monos - 1
         first, last = (first, ham) if table == "_build_hamiltonian" else (ham + 1, last)
-    # every table checkpoints inside the one pair walk of _table
-    walk = [table, "_table", "_pairs"]
+    # every closed-form table checkpoints inside the one pair walk of _table,
+    # and H's cut once per row Hbar stored, in its own loop
+    walk = [table] if table == "_h_from_hbar" else [table, "_table", "_pairs"]
     for trip in (first, last):
         with pytest.raises(BudgetExceededError) as exc:
             algebras.build(kind, params, budget=TripClock(trip))
@@ -511,10 +517,36 @@ def test_h_is_hbar_without_its_top_element(p, n, m):
     h = build_h(params)  # under Hbar's closure check
     sub = build_hbar(params, verify=False).h_subalgebra
     assert h == sub
+    # the filtered table passes its own closure check too
+    CartanAlgebra("H", h.params, h.basis, h.rows_int)
     assert h.rows_int == sub.rows_int
     assert h.grades == sub.grades
     assert ([lambda_of_variable(h, i) for i in range(h.dim)]
             == [lambda_of_variable(sub, i) for i in range(sub.dim)])
+
+
+def test_unverified_build_makes_no_solver(params3):
+    # the partials are read off the basis, so only decompose and the closure
+    # check build the coordinate solver
+    hbar = build_hbar(params3, verify=False)
+    assert hbar._solver is None and hbar.h_subalgebra._solver is None
+    assert build_hbar(params3)._solver is not None
+
+
+def test_partials_and_independence_are_checked(w2_p3):
+    basis, rows = list(w2_p3.basis), w2_p3.rows_int
+    # a dependent basis passes the partial lookup and fails the closure check
+    twice = basis + [basis[-1]._replace(label="copy")]
+    CartanAlgebra("W", w2_p3.params, twice, rows, verify=False)
+    with pytest.raises(ClosureError, match="dependent"):
+        CartanAlgebra("W", w2_p3.params, twice, rows)
+    # with d_1 + d_2 in its place, d_1 is no signed basis element, verified
+    # or not
+    assert basis[0].vector == {(0, (0, 0)): 1}
+    mixed = [basis[0]._replace(vector={(0, (0, 0)): 1, (1, (0, 0)): 1}), *basis[1:]]
+    for verify in (False, True):
+        with pytest.raises(ClosureError, match="d_1 is not a signed basis element"):
+            CartanAlgebra("W", w2_p3.params, mixed, rows, verify=verify)
 
 
 def test_build_hbar_builds_the_tables_once(monkeypatch, params3):

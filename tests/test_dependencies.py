@@ -120,11 +120,12 @@ def test_generators_grow_only_through_the_closure():
 
 def test_one_truncated_pair_walk():
     # the truncation skip and the row checkpoint are written once, in _pairs:
-    # _table walks it for the four tables and the closure check walks it
-    # too; the only other checkpoint is the shared basis walk
+    # _table walks it for the three closed-form tables and the closure check
+    # walks it too; the only other checkpoints are the shared basis walk and
+    # H's cut, once per row Hbar stored
     tree = ast.parse((ROOT / "src" / "cartaninv" / "algebras.py").read_text())
     assert _functions_using(tree, {"_pairs"}) == {"_table", "CartanAlgebra"}
-    assert _functions_using(tree, {"checkpoint"}) == {"_pairs", "_alphas"}
+    assert _functions_using(tree, {"checkpoint"}) == {"_pairs", "_alphas", "_h_from_hbar"}
     assert "_room" not in ast.dump(tree)
 
 
@@ -137,13 +138,14 @@ def _stores_pair_rows(node):
 
 
 def test_one_table_writer_and_one_reader():
-    # only _table stores a row of a structure table, and the documents and
-    # the text table read the stored rows, not every pair through row_int
+    # only _table stores a row of a structure table, and _h_from_hbar the
+    # rows of Hbar's table it keeps for H; the documents and the text table
+    # read the stored rows, not every pair through row_int
     tree = ast.parse((ROOT / "src" / "cartaninv" / "algebras.py").read_text())
     writers = {node.name for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and _stores_pair_rows(node)}
-    assert writers == {"_table"}
+    assert writers == {"_table", "_h_from_hbar"}
     for module, reader in (("serialize", "sc_document"), ("cli", "_cmd_bracket_table")):
         code = _function(ast.parse(
             (ROOT / "src" / "cartaninv" / f"{module}.py").read_text()), reader)

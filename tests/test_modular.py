@@ -113,6 +113,15 @@ def test_field_params_refuse_non_int_entries(p, n, m):
     assert build_hbar(FieldParams(7, 2, (1, 1))).dim == 48
 
 
+def test_field_params_bound_p_below_two_to_the_31():
+    # the largest prime below the bound passes the trial division; at and past
+    # it, p is refused before any division
+    assert FieldParams(2**31 - 1, 1, (1,)).p == 2**31 - 1
+    for p in (2**31, 10000000000000061):
+        with pytest.raises(ParameterError, match="below 2\\^31"):
+            FieldParams(p, 1, (1,))
+
+
 def test_field_params_convert_m_to_a_tuple():
     # any iterable of heights is taken as a tuple; a bare int is refused
     with pytest.raises(ParameterError):

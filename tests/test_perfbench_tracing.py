@@ -34,3 +34,21 @@ def test_traced_closure_check_counts_its_brackets(monkeypatch):
         dims = [algebras.build(kind, params).dim for kind in ("Hbar", "W")]
     assert dims == [8, 18]
     assert tracer.counts["algebras.bracket"] == 28 + 124
+
+
+def test_traced_store_reads_see_the_sc_cache(monkeypatch, tmp_path, capsys):
+    # the tracer reads load_algebra's first three arguments, which the budget
+    # argument follows: a miss, then a hit on the structure constants it stored
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import Tracer, instrument
+
+    from cartaninv.cli import main
+
+    argv = ["invariant-compute", "--p", "3", "--power", "2", "--store", str(tmp_path),
+            "--max-seconds", "60"]
+    with instrument(Tracer()) as tracer:
+        assert main(argv) == 0 and main(argv) == 0
+    capsys.readouterr()
+    reads = [s[4] for s in tracer.spans if s[0] == "serialize.read" and "hit" in s[4]]
+    assert [read["hit"] for read in reads] == [False, True]
+    assert reads[0]["bytes"] == 0 and reads[1]["bytes"] > 0

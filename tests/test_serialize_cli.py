@@ -6,6 +6,8 @@ import re
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -867,7 +869,7 @@ def trip_first_checkpoint(monkeypatch):
 
 def test_cli_store_hit_honours_the_budget(tmp_path, capsys, hbar_p5, results_p5,
                                           trip_first_checkpoint):
-    # Hbar comes from the sc cache, so the first checkpoint is the record's
+    # Hbar comes from the sc cache, whose build makes the first checkpoint
     serialize.save_structure_constants(tmp_path, hbar_p5)
     serialize.save_record(tmp_path, results_p5[4].record)
     argv = ["invariant-compute", "--p", "5", "--power", "4", "--store", str(tmp_path)]
@@ -875,6 +877,79 @@ def test_cli_store_hit_honours_the_budget(tmp_path, capsys, hbar_p5, results_p5,
     assert "budget exceeded" in capsys.readouterr().err
     assert main(argv) == EX_OK  # no budget: the stored record verifies
     assert "verified against store" in capsys.readouterr().out
+
+
+def _tripped_in(monkeypatch, owner, name):
+    """Rebind ``owner.name`` to record, in the returned list, each budget trip
+    that leaves it."""
+    tripped, fn = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except errors.BudgetExceededError:
+            tripped.append(name)
+            raise
+
+    monkeypatch.setattr(owner, name, spy)
+    return tripped
+
+
+def test_cli_cached_load_honours_the_budget(tmp_path, capsys, monkeypatch, hbar_p5,
+                                            results_p5, trip_first_checkpoint):
+    # the sc cache builds its algebra under the job's budget: the first
+    # checkpoint trips inside load_algebra, and the one after the load's last
+    # in the stored record's verify
+    serialize.save_structure_constants(tmp_path, hbar_p5)
+    serialize.save_record(tmp_path, results_p5[4].record)
+    argv = ["invariant-compute", "--p", "5", "--power", "4", "--store", str(tmp_path),
+            "--max-seconds", "60"]
+    loads = _tripped_in(monkeypatch, serialize, "load_algebra")
+    verifies = _tripped_in(monkeypatch, pipeline.InvariantRecord, "verify")
+    assert main(argv) == EX_BUDGET
+    assert loads == ["load_algebra"] and verifies == []
+    load = TripClock()
+    serialize.load_algebra(tmp_path, "Hbar", hbar_p5.params, load)
+    monkeypatch.setattr(cli, "Budget", _budget_factory(trip=load.checkpoints + 1))
+    assert main(argv) == EX_BUDGET
+    assert loads == ["load_algebra"] and verifies == ["verify"]
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["invariant-compute", "invariant-verify"])
+def test_cli_refuses_a_prime_past_two_to_the_31(tmp_path, capsys, results_p5, command):
+    # the trial division would take seconds, before any budget is read
+    p = 10000000000000061
+    if command == "invariant-compute":
+        argv = [command, "--p", str(p), "--power", "2"]
+    else:
+        doc = serialize.record_to_document(results_p5[4].record)
+        doc["invariant"]["p"] = p
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+    start = time.monotonic()
+    assert main(argv + ["--max-seconds", "0.5"]) == EX_USAGE
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == f"error: p must be below 2^31, got {p}\n"
+
+
+def test_cli_generator_check_unpacks_a_high_power_in_little_memory(tmp_path, capsys,
+                                                                    hbar_p3):
+    # the exponent 2^20 needs a 21-bit field; the unpacker shares no list of
+    # 2^21 pairs per variable, and the top element is a generator
+    path = tmp_path / "power.json"
+    path.write_text(serialize.dumps_canonical(serialize.poly_to_document(SymPolynomial(
+        hbar_p3, "modp", {((hbar_p3.index["u_{2,2}"], 1 << 20),): 1}))))
+    tracemalloc.start()
+    try:
+        rc = main(["generator-check", "--p", "3", "--poly", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EX_OK
+    assert capsys.readouterr().out == "generator conditions hold\n"
+    assert peak < 4 << 20
 
 
 def test_cli_independence_honours_the_budget(tmp_path, capsys, hbar_p5, results_p5,
